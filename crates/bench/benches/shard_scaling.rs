@@ -15,7 +15,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use engine::shard::{self, ShardPlan};
+use engine::shard::{self, ShardPlan, StreamOptions};
 use engine::{LoopbackTransport, SubprocessTransport};
 use qaoa::datagen::DataGenConfig;
 
@@ -44,7 +44,8 @@ fn bench_loopback(c: &mut Criterion) {
             |b, &shards| {
                 b.iter(|| {
                     let mut transport = LoopbackTransport::new(shards, 1);
-                    shard::run_wire(&config, &plan, &mut transport).expect("loopback shard run")
+                    shard::run_wire(&config, &plan, &mut transport, &StreamOptions::default())
+                        .expect("loopback shard run")
                 });
             },
         );
@@ -69,7 +70,8 @@ fn bench_subprocess(c: &mut Criterion) {
                 b.iter(|| {
                     let mut transport =
                         SubprocessTransport::spawn(&cmd, shards).expect("spawning workers");
-                    shard::run_wire(&config, &plan, &mut transport).expect("subprocess shard run")
+                    shard::run_wire(&config, &plan, &mut transport, &StreamOptions::default())
+                        .expect("subprocess shard run")
                 });
             },
         );

@@ -4,7 +4,7 @@
 //!
 //! Optima are produced the way the paper's own figures imply (see DESIGN.md
 //! §5): the depth-1 instance is solved by multistart and deeper instances
-//! follow the INTERP chain (Zhou et al., the paper's ref [5]) that stays in
+//! follow the INTERP chain (Zhou et al., the paper's ref \[5\]) that stays in
 //! one smooth basin family; for display, only the smoothness-preserving
 //! conjugation fold is applied so every graph appears in the same image
 //! family of the paper's domain `γ ∈ [0, 2π], β ∈ [0, π]`.

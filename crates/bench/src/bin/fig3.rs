@@ -3,7 +3,7 @@
 //! depth p grows while βᵢOPT increases.
 //!
 //! Optima are produced by multistart at `p = 1` and the INTERP chain above
-//! (Zhou et al., the paper's ref [5]) and displayed without symmetry
+//! (Zhou et al., the paper's ref \[5\]) and displayed without symmetry
 //! folding, the same protocol as the `fig2` binary.
 //!
 //! Run: `cargo run --release -p bench --bin fig3 [-- --quick]`

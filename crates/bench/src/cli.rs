@@ -49,8 +49,7 @@ usage: [--quick] [--nodes N] [--graphs N] [--restarts N] [--max-depth N]
                      output is bit-identical at any K)
   --out PATH         write the merged corpus TSV to PATH instead of stdout
                      (qaoa-shard)
-  --workers MODE     qaoa-shard worker mode (default: local):
-                       local       in-process ranges, no wire protocol
+  --workers MODE     qaoa-shard worker mode (default: loopback:1):
                        loopback:K  K in-process wire workers (streaming
                                    coordinator, reference transport)
                        spawn:K     K spawned worker subprocesses over
@@ -298,9 +297,9 @@ mod tests {
     #[test]
     fn worker_mode_flags() {
         use crate::WorkerMode;
-        // Default: in-process local ranges, no wire protocol.
+        // Default: one in-process loopback wire worker.
         let c = run(&["--quick"]);
-        assert_eq!(c.workers, WorkerMode::Local);
+        assert_eq!(c.workers, WorkerMode::Loopback(1));
         assert_eq!(c.worker_cmd, None);
         assert_eq!(c.timeout_secs, 30);
         assert_eq!(c.kill_worker, None);
@@ -328,8 +327,8 @@ mod tests {
             run(&["--workers", "loopback:2"]).workers,
             WorkerMode::Loopback(2)
         );
-        assert_eq!(run(&["--workers", "local"]).workers, WorkerMode::Local);
         // Malformed modes and counts are errors, not silent defaults.
+        assert!(parse_args(args(&["--workers", "local"])).is_err());
         assert!(parse_args(args(&["--workers", "remote:2"])).is_err());
         assert!(parse_args(args(&["--workers", "spawn:0"])).is_err());
         assert!(parse_args(args(&["--workers", "spawn:many"])).is_err());

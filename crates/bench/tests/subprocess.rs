@@ -8,7 +8,7 @@
 use std::time::Duration;
 
 use bench::RunConfig;
-use engine::shard::{self, ShardPlan};
+use engine::shard::{self, ShardPlan, StreamOptions};
 use engine::{wire, Engine, KillAfter, ShardTransport, SubprocessTransport};
 use qaoa::datagen::{DataGenConfig, ParameterDataset};
 
@@ -70,7 +70,8 @@ fn spawned_workers_match_the_unsharded_corpus() {
         let mut transport =
             SubprocessTransport::spawn(&cmd, 2).expect("spawning qaoa-serve workers");
         let (merged, report) =
-            shard::run_wire(&config, &plan, &mut transport).expect("subprocess shard run");
+            shard::run_wire(&config, &plan, &mut transport, &StreamOptions::default())
+                .expect("subprocess shard run");
         assert_eq!(report.lost_workers, 0);
         assert_eq!(report.retasked, 0);
         assert_bit_identical(
@@ -93,7 +94,8 @@ fn killed_subprocess_worker_still_matches() {
     let inner = SubprocessTransport::spawn(&cmd, 2).expect("spawning qaoa-serve workers");
     let mut transport = KillAfter::new(inner, 0, 1);
     let (merged, report) =
-        shard::run_wire(&config, &plan, &mut transport).expect("failover over subprocesses");
+        shard::run_wire(&config, &plan, &mut transport, &StreamOptions::default())
+            .expect("failover over subprocesses");
     assert_eq!(
         report.lost_workers, 1,
         "the killed process must be declared dead"
@@ -154,9 +156,10 @@ fn spawned_server_answers_predict_from_a_model_artifact() {
 }
 
 #[test]
-fn qaoa_shard_spawn_cli_matches_local_mode() {
-    // The full CLI path: `qaoa-shard --workers spawn:2` must write the
-    // same TSV bytes to stdout as the default local mode.
+fn qaoa_shard_cli_matches_the_unsharded_corpus_tsv() {
+    // The full CLI path: `qaoa-shard` in its default mode and with
+    // `--workers spawn:2` must each write to stdout exactly the TSV bytes
+    // `engine::corpus::generate` produces for the same spec.
     let shard_bin = env!("CARGO_BIN_EXE_qaoa-shard");
     let serve_bin = env!("CARGO_BIN_EXE_qaoa-serve");
     let common = [
@@ -174,6 +177,13 @@ fn qaoa_shard_spawn_cli_matches_local_mode() {
         "--threads",
         "1",
     ];
+    let config = RunConfig::parse(common.iter().map(ToString::to_string)).expect("valid flags");
+    let mut expected = Vec::new();
+    reference(&config.datagen())
+        .write_tsv(&mut expected)
+        .expect("in-memory TSV");
+    assert!(!expected.is_empty());
+
     let run = |extra: &[&str]| -> Vec<u8> {
         let output = std::process::Command::new(shard_bin)
             .args(common)
@@ -187,7 +197,11 @@ fn qaoa_shard_spawn_cli_matches_local_mode() {
         );
         output.stdout
     };
-    let local = run(&[]);
+    assert_eq!(
+        run(&[]),
+        expected,
+        "default-mode stdout TSV differs from engine::corpus"
+    );
     let spawned = run(&[
         "--shards",
         "3",
@@ -196,9 +210,8 @@ fn qaoa_shard_spawn_cli_matches_local_mode() {
         "--worker-cmd",
         serve_bin,
     ]);
-    assert!(!local.is_empty());
     assert_eq!(
-        local, spawned,
-        "spawn-mode stdout TSV differs from local mode"
+        spawned, expected,
+        "spawn-mode stdout TSV differs from engine::corpus"
     );
 }

@@ -10,10 +10,9 @@ use crate::{EvalContext, MaxCutProblem, QaoaError};
 /// `CNOT(u,v) · RZ_v(−γ·w) · CNOT(u,v)`, the paper's `RZ(−γ)` construction)
 /// followed by a mixing layer of `RX(2β)` rotations.
 ///
-/// **Fast diagonal path** ([`QaoaAnsatz::expectation_in`] /
-/// [`QaoaAnsatz::state_fast`]): because the cost Hamiltonian is diagonal,
-/// `e^{−iγC}` is a per-amplitude phase and only the mixing layer needs gate
-/// kernels. This is `O(2ⁿ·(1 + n))` per stage versus `O(2ⁿ·(|E| + n))` for
+/// **Fast diagonal path** ([`QaoaAnsatz::expectation_in`]): because the
+/// cost Hamiltonian is diagonal, `e^{−iγC}` is a per-amplitude phase and
+/// only the mixing layer needs gate kernels. This is `O(2ⁿ·(1 + n))` per stage versus `O(2ⁿ·(|E| + n))` for
 /// the gate path and is what the optimization loop uses — through a
 /// reusable [`EvalContext`] running on the split re/im SoA kernels of
 /// `qsim::soa` (autovectorized, cache-blocked, optionally fanned out within
@@ -133,27 +132,6 @@ impl QaoaAnsatz {
     pub fn state_gate_level(&self, params: &[f64]) -> Result<StateVector, QaoaError> {
         let circuit = self.build_circuit(params)?;
         let state = circuit.run(StateVector::zero_state(self.problem.n_qubits()))?;
-        Ok(state)
-    }
-
-    /// Produces `|ψ(γ, β)⟩` via the fast diagonal path, as a fresh state.
-    ///
-    /// Allocates one state vector; the phase-separation layer uses the
-    /// fused [`StateVector::apply_phase_from_diag`] kernel (no phase-vector
-    /// materialization). The optimization loop avoids even the state
-    /// allocation via [`QaoaAnsatz::expectation_in`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QaoaError::ParameterCount`] on a length mismatch.
-    pub fn state_fast(&self, params: &[f64]) -> Result<StateVector, QaoaError> {
-        let (gammas, betas) = self.split_params(params)?;
-        let diag = self.problem.cost().diagonal();
-        let mut state = StateVector::plus_state(self.problem.n_qubits());
-        for (&gamma, &beta) in gammas.iter().zip(betas) {
-            state.apply_phase_from_diag(diag, gamma)?;
-            state.apply_rx_layer(2.0 * beta);
-        }
         Ok(state)
     }
 
@@ -280,11 +258,12 @@ mod tests {
                         }
                     })
                     .collect();
-                let fast = ansatz.expectation(&params).unwrap();
+                let mut ctx = EvalContext::new(problem.n_qubits());
+                let fast = ansatz.expectation_in(&mut ctx, &params).unwrap();
                 let gate = ansatz.expectation_gate_level(&params).unwrap();
                 assert!((fast - gate).abs() < 1e-9, "p={p}: {fast} vs {gate}");
                 // The full states also agree up to global phase.
-                let sf = ansatz.state_fast(&params).unwrap();
+                let sf = ctx.state().to_state_vector();
                 let sg = ansatz.state_gate_level(&params).unwrap();
                 assert!((sf.fidelity(&sg).unwrap() - 1.0).abs() < 1e-9);
             }
@@ -317,8 +296,9 @@ mod tests {
         let g = generators::cycle(5);
         let ansatz = QaoaAnsatz::new(MaxCutProblem::new(&g).unwrap(), 4).unwrap();
         let params: Vec<f64> = (0..8).map(|i| 0.3 + 0.1 * i as f64).collect();
-        let s = ansatz.state_fast(&params).unwrap();
-        assert!((s.norm() - 1.0).abs() < EPS);
+        let mut ctx = EvalContext::new(5);
+        ansatz.expectation_in(&mut ctx, &params).unwrap();
+        assert!((ctx.state().to_state_vector().norm() - 1.0).abs() < EPS);
     }
 
     #[test]

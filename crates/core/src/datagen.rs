@@ -462,7 +462,7 @@ pub fn solve_depth<R: Rng + ?Sized>(
 }
 
 /// Linearly resamples a parameter schedule to a new length — Zhou et al.'s
-/// INTERP initialization (the paper's ref [5]), used to seed a depth-`p`
+/// INTERP initialization (the paper's ref \[5\]), used to seed a depth-`p`
 /// optimization from a depth-`p−1` optimum. A single value is replicated.
 ///
 /// ```

@@ -1,10 +1,10 @@
 //! Shot-noise objective: sampled `⟨C⟩` as a first-class engine workload.
 //!
-//! [`ShotEstimator`](crate::noise::ShotEstimator) demonstrated finite-shot
-//! estimation, but carries its own RNG *stream*: the estimate at a parameter
-//! point depends on how many evaluations happened before it, which breaks
-//! the engine's requirement that every job be a pure function of its seed.
-//! [`SampledExpectation`] fixes the seeding scheme — evaluation `k` draws
+//! A finite-shot estimator that carries one RNG *stream* makes the estimate
+//! at a parameter point depend on how many evaluations happened before it,
+//! which breaks the engine's requirement that every job be a pure function
+//! of its seed. [`SampledExpectation`] fixes the seeding scheme — evaluation
+//! `k` draws
 //! from `StdRng::seed_from_u64(mix64(base_seed ^ (k+1)·GOLDEN_GAMMA))`, so
 //! the whole optimization trace is a pure function of `(base_seed,
 //! parameters)` and is bit-identical at any thread count — and evaluates

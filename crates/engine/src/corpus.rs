@@ -11,7 +11,7 @@
 //!
 //! * depth 1 — seeded from the graph's **canonical class hash** and solved
 //!   on the canonical representative, so isomorphic graphs produce
-//!   bit-identical depth-1 optima and share one [`Level1Cache`] entry,
+//!   bit-identical depth-1 optima and share one [`Level1Cache`](crate::cache::Level1Cache) entry,
 //! * depth ≥ 2 — seeded from `(graph_index, depth)`.
 //!
 //! Consequently corpus output is a pure function of `(graphs, config)` —

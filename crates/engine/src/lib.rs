@@ -31,12 +31,11 @@
 //!   order, plus the worker side of shard tasking (`SHARD`/`RANGE` in,
 //!   `RECORD`/`DONE` out),
 //! * [`shard`] — the corpus shard coordinator: a validated [`ShardPlan`]
-//!   over graph-index ranges, driven locally ([`shard::run_local`], the
-//!   `qaoa-shard` binary) or live over a streaming transport
-//!   ([`shard::run_streaming`] / [`shard::run_wire`]), merging records in
-//!   global graph-index order with bounded buffering and re-tasking the
-//!   ranges of dead or timed-out workers — output **bit-identical** to the
-//!   unsharded run either way,
+//!   over graph-index ranges, driven over a streaming transport
+//!   ([`shard::run_streaming`] / [`shard::run_wire`]; the `qaoa-shard`
+//!   binary), merging records in global graph-index order with bounded
+//!   buffering and re-tasking the ranges of dead or timed-out workers —
+//!   output **bit-identical** to the unsharded run,
 //! * [`transport`] — the [`ShardTransport`] trait the coordinator drives:
 //!   in-process [`transport::LoopbackTransport`] workers (the reference
 //!   implementation), spawned `qaoa-serve` processes

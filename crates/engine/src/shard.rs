@@ -11,10 +11,7 @@
 //! * [`ShardPlan`] — a validated partition of `0..n_graphs` into
 //!   contiguous, non-overlapping, covering index ranges (empty and
 //!   singleton ranges included),
-//! * [`run_local`] — one [`crate::corpus`] worker per range, each on its
-//!   own engine/pool: the single-process rehearsal of the multi-machine
-//!   topology,
-//! * [`run_streaming`] — the live coordinator: an event loop over any
+//! * [`run_streaming`] — the one coordinator: an event loop over any
 //!   [`ShardTransport`] that dispatches ranges to workers, streams-merges
 //!   `RECORD` lines into the sink in global graph-index order with
 //!   **bounded buffering**, and **re-tasks** a dead or timed-out worker's
@@ -23,9 +20,10 @@
 //!   [`ParameterDataset`], for callers that want the corpus in memory.
 //!
 //! Transports live in [`crate::transport`]:
-//! [`crate::transport::LoopbackTransport`] (in-process reference
-//! implementation) and [`crate::transport::SubprocessTransport`] (spawned
-//! `qaoa-serve` worker processes).
+//! [`crate::transport::LoopbackTransport`] (in-process workers; with a
+//! shared depth-1 cache it is also the single-process path) and
+//! [`crate::transport::SubprocessTransport`] (spawned `qaoa-serve` worker
+//! processes).
 //!
 //! # The bit-parity guarantee
 //!
@@ -85,13 +83,11 @@ use std::time::{Duration, Instant};
 use qaoa::datagen::{DataGenConfig, OptimalRecord, ParameterDataset};
 use qaoa::QaoaError;
 
-use crate::batch::Engine;
-use crate::cache::Level1Cache;
 use crate::corpus;
 use crate::transport::{ShardTransport, TransportError};
 use crate::wire;
 
-/// A failed shard plan, protocol exchange, worker fleet, or local solve.
+/// A failed shard plan, protocol exchange, worker fleet, or dataset merge.
 #[derive(Debug)]
 pub enum ShardError {
     /// The plan is not a valid partition (or does not match the spec).
@@ -111,7 +107,7 @@ pub enum ShardError {
     Transport(String),
     /// The record sink (the caller's output writer) failed.
     Sink(String),
-    /// A local solve failed.
+    /// The merged records did not assemble into a dataset.
     Solve(QaoaError),
 }
 
@@ -240,9 +236,6 @@ pub struct ShardStats {
     pub cells: usize,
     /// Total function calls across the shard's records.
     pub function_calls: usize,
-    /// Depth-1 solves served from cache (0 for wire shards, whose workers
-    /// do not report hit counts through `DONE`).
-    pub cache_hits: usize,
     /// Times this range was dispatched (1 + re-tasks after worker loss).
     pub attempts: usize,
 }
@@ -277,21 +270,14 @@ impl ShardReport {
         self.per_shard.iter().map(|s| s.function_calls).sum()
     }
 
-    /// Total depth-1 cache hits across all shards.
-    #[must_use]
-    pub fn cache_hits(&self) -> usize {
-        self.per_shard.iter().map(|s| s.cache_hits).sum()
-    }
-
     /// One-line human summary.
     #[must_use]
     pub fn summary(&self) -> String {
         let mut line = format!(
-            "{} shards / {} cells in {:.2?} ({} level-1 cache hits, {} fn calls)",
+            "{} shards / {} cells in {:.2?} ({} fn calls)",
             self.per_shard.len(),
             self.cells(),
             self.wall,
-            self.cache_hits(),
             self.function_calls(),
         );
         if self.lost_workers > 0 {
@@ -302,62 +288,6 @@ impl ShardReport {
         }
         line
     }
-}
-
-/// Runs a sharded corpus generation in-process: one
-/// [`corpus::solve_range`] worker per range, each on its own engine (with
-/// `threads_per_shard` pool workers), merged in graph-index order.
-///
-/// `shared_cache` plays the coordinator's depth-1 cache: each shard engine
-/// is pre-warmed from it before solving and folded back into it after, so
-/// canonical classes spanning shard boundaries are solved once per run —
-/// and a caller that loaded the cache from a `--cache-file` gets the same
-/// warm-start any unsharded driver gets. Pass a fresh
-/// [`Level1Cache::new()`] when no persistence is wanted.
-///
-/// The merged dataset is **bit-identical** to
-/// [`corpus::generate`] with the same spec, for any valid plan, any
-/// `threads_per_shard`, and any warm/cold cache state.
-///
-/// # Errors
-///
-/// Rejects a plan that does not match the spec; propagates solve errors.
-pub fn run_local(
-    config: &DataGenConfig,
-    plan: &ShardPlan,
-    threads_per_shard: usize,
-    shared_cache: &Level1Cache,
-) -> Result<(ParameterDataset, ShardReport), ShardError> {
-    plan.check_spec(config)?;
-    let start = Instant::now();
-    let graphs = corpus::ensemble(config);
-    let mut records = Vec::with_capacity(config.n_graphs * config.max_depth);
-    let mut per_shard = Vec::with_capacity(plan.shards());
-    for range in plan.ranges() {
-        let engine = Engine::new(threads_per_shard);
-        engine.cache().merge_from(shared_cache);
-        let (shard_records, report) = corpus::solve_range(&graphs, range.clone(), config, &engine)?;
-        shared_cache.merge_from(engine.cache());
-        per_shard.push(ShardStats {
-            range: range.clone(),
-            cells: report.cells,
-            function_calls: report.function_calls,
-            cache_hits: report.cache_hits,
-            attempts: 1,
-        });
-        records.extend(shard_records);
-    }
-    let dataset = ParameterDataset::from_parts(graphs, records, config.max_depth)?;
-    Ok((
-        dataset,
-        ShardReport {
-            per_shard,
-            wall: start.elapsed(),
-            retasked: 0,
-            lost_workers: 0,
-            peak_buffered_records: 0,
-        },
-    ))
 }
 
 /// Tuning knobs for [`run_streaming`].
@@ -658,7 +588,6 @@ where
             range: r.range.clone(),
             cells: r.received,
             function_calls: r.function_calls,
-            cache_hits: 0,
             attempts: r.attempts.max(1),
         })
         .collect();
@@ -837,8 +766,8 @@ where
 
 /// Runs a sharded corpus generation over a [`ShardTransport`] and collects
 /// the merged stream into a [`ParameterDataset`] — [`run_streaming`] with
-/// an in-memory sink and default [`StreamOptions`], for callers (tests,
-/// `run_wire` parity checks, small corpora) that want the dataset whole.
+/// an in-memory sink, for callers (tests, parity checks, small corpora)
+/// that want the dataset whole.
 ///
 /// Graphs never travel: coordinator and workers derive the identical
 /// ensemble from the spec's seed, so the wire carries records only.
@@ -847,20 +776,6 @@ where
 ///
 /// Same contract as [`run_streaming`].
 pub fn run_wire<T: ShardTransport>(
-    config: &DataGenConfig,
-    plan: &ShardPlan,
-    transport: &mut T,
-) -> Result<(ParameterDataset, ShardReport), ShardError> {
-    run_wire_with(config, plan, transport, &StreamOptions::default())
-}
-
-/// [`run_wire`] with explicit [`StreamOptions`] (timeout, dispatch
-/// window).
-///
-/// # Errors
-///
-/// Same contract as [`run_streaming`].
-pub fn run_wire_with<T: ShardTransport>(
     config: &DataGenConfig,
     plan: &ShardPlan,
     transport: &mut T,
@@ -879,7 +794,10 @@ pub fn run_wire_with<T: ShardTransport>(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::cache::Level1Cache;
     use crate::transport::LoopbackTransport;
 
     #[test]
@@ -936,14 +854,16 @@ mod tests {
             ..DataGenConfig::quick()
         };
         let plan = ShardPlan::split_even(4, 2);
-        let cache = Level1Cache::new();
+        let options = StreamOptions::default();
+        let cache = Arc::new(Level1Cache::new());
+        let mut cached = LoopbackTransport::with_cache(1, 1, config.seed, Some(cache));
         assert!(matches!(
-            run_local(&config, &plan, 1, &cache),
+            run_wire(&config, &plan, &mut cached, &options),
             Err(ShardError::Plan(_))
         ));
         let mut transport = LoopbackTransport::new(1, 1);
         assert!(matches!(
-            run_wire(&config, &plan, &mut transport),
+            run_wire(&config, &plan, &mut transport, &options),
             Err(ShardError::Plan(_))
         ));
     }
@@ -956,7 +876,8 @@ mod tests {
         };
         let plan = ShardPlan::from_ranges(0, vec![]).unwrap();
         let mut transport = LoopbackTransport::new(1, 1);
-        let (dataset, report) = run_wire(&config, &plan, &mut transport).unwrap();
+        let (dataset, report) =
+            run_wire(&config, &plan, &mut transport, &StreamOptions::default()).unwrap();
         assert_eq!(dataset.records().len(), 0);
         assert_eq!(report.cells(), 0);
         assert_eq!(report.peak_buffered_records, 0);

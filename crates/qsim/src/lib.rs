@@ -47,7 +47,6 @@ pub mod gates;
 mod sampling;
 pub mod soa;
 mod state;
-pub mod twoqubit;
 
 pub use channels::{KrausChannel, NoiseModel};
 pub use circuit::{Circuit, Gate};
@@ -59,4 +58,3 @@ pub use sampling::{
     sample_counts, sample_density_counts, sample_density_indices, sample_indices, CdfSampler,
 };
 pub use state::StateVector;
-pub use twoqubit::Gate4;

@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Read out a concrete cut by sampling the optimized circuit.
     let ansatz = instance.ansatz();
-    let state = ansatz.state_fast(&outcome.params)?;
+    let state = ansatz.state_gate_level(&outcome.params)?;
     let samples = qsim::sample_counts(&state, 512, &mut rng)?;
     let (best_state, _) = samples
         .iter()

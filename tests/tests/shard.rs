@@ -1,16 +1,17 @@
 //! Integration tests for the sharded corpus coordinator: the bit-parity
-//! guarantee (any valid partition, any thread count, local or over the
-//! wire, merges to the unsharded corpus bit-for-bit), merged cache-file
+//! guarantee (any valid partition, any thread count, any worker count,
+//! merges to the unsharded corpus bit-for-bit), merged cache-file
 //! identity, and the coordinator's protocol validation.
 
 mod common;
 
+use std::sync::Arc;
 use std::time::Duration;
 
-use engine::shard::{self, ShardPlan, StreamOptions};
+use engine::shard::{self, ShardPlan, ShardReport, StreamOptions};
 use engine::{persist, Engine, Level1Cache, LoopbackTransport, ShardTransport, TransportError};
 use proptest::prelude::*;
-use qaoa::datagen::DataGenConfig;
+use qaoa::datagen::{DataGenConfig, ParameterDataset};
 
 /// The suite's corpus spec: small enough that one case solves in
 /// milliseconds, rich enough (2 depths, 2 restarts) to exercise the
@@ -23,6 +24,19 @@ fn spec(n_graphs: usize) -> DataGenConfig {
 fn reference(config: &DataGenConfig) -> qaoa::datagen::ParameterDataset {
     let (dataset, _) = engine::corpus::generate(config, &Engine::new(1)).expect("reference corpus");
     dataset
+}
+
+/// One in-process worker at `threads` pool threads sharing `cache`, driven
+/// by the streaming coordinator: `qaoa-shard`'s default `loopback:1` path.
+fn run_cached(
+    config: &DataGenConfig,
+    plan: &ShardPlan,
+    threads: usize,
+    cache: &Arc<Level1Cache>,
+) -> (ParameterDataset, ShardReport) {
+    let mut transport =
+        LoopbackTransport::with_cache(1, threads, config.seed, Some(Arc::clone(cache)));
+    shard::run_wire(config, plan, &mut transport, &StreamOptions::default()).expect("sharded run")
 }
 
 /// Builds a partition of `0..n` from arbitrary cut points (duplicates and
@@ -45,7 +59,7 @@ proptest! {
     /// The ISSUE's headline property: **any** valid partition of `0..n`
     /// into contiguous ranges — empty and singleton ranges included —
     /// merges to a corpus bit-identical to the unsharded run, at 1 and at
-    /// 4 threads per shard.
+    /// 4 worker threads.
     #[test]
     fn any_partition_merges_bit_identically(
         (n, cuts) in (1usize..6).prop_flat_map(|n| {
@@ -57,8 +71,7 @@ proptest! {
         let unsharded = reference(&config);
         for threads in [1usize, 4] {
             let (sharded, report) =
-                shard::run_local(&config, &plan, threads, &Level1Cache::new())
-                    .expect("sharded run");
+                run_cached(&config, &plan, threads, &Arc::new(Level1Cache::new()));
             prop_assert_eq!(report.per_shard.len(), plan.shards());
             prop_assert_eq!(report.cells(), n * config.max_depth);
             common::assert_corpora_bit_identical(
@@ -80,8 +93,7 @@ fn shard_counts_1_2_3_at_1_and_4_threads_match_unsharded() {
     for shards in [1usize, 2, 3] {
         let plan = ShardPlan::split_even(config.n_graphs, shards);
         for threads in [1usize, 4] {
-            let (sharded, _) = shard::run_local(&config, &plan, threads, &Level1Cache::new())
-                .expect("sharded run");
+            let (sharded, _) = run_cached(&config, &plan, threads, &Arc::new(Level1Cache::new()));
             common::assert_corpora_bit_identical(
                 &unsharded,
                 &sharded,
@@ -105,9 +117,9 @@ fn merged_cache_file_is_byte_identical_to_unsharded() {
     engine::corpus::generate(&config, &engine).expect("unsharded corpus");
     persist::save_merge(engine.cache(), &unsharded_path, config.seed).unwrap();
 
-    let cache = Level1Cache::new();
+    let cache = Arc::new(Level1Cache::new());
     let plan = ShardPlan::split_even(config.n_graphs, 3);
-    shard::run_local(&config, &plan, 4, &cache).expect("sharded corpus");
+    run_cached(&config, &plan, 4, &cache);
     persist::save_merge(&cache, &sharded_path, config.seed).unwrap();
 
     let unsharded_bytes = std::fs::read(&unsharded_path).unwrap();
@@ -126,32 +138,41 @@ fn merged_cache_file_is_byte_identical_to_unsharded() {
 
 #[test]
 fn warm_sharded_run_serves_depth1_from_the_cache_file() {
-    // A cache file written by an unsharded run pre-warms every shard: the
+    // A cache file written by an unsharded run pre-warms every worker: the
     // warm sharded run performs zero depth-1 solves and still reproduces
-    // the exact corpus.
+    // the exact corpus. Workers pre-warm from the shared cache and fold
+    // their entries back into it, so any depth-1 solve would add an entry:
+    // an unchanged `len()` proves none happened.
     let config = spec(5);
     let path = common::temp_path("shard_warm");
     std::fs::remove_file(&path).ok();
+    let plan = ShardPlan::split_even(config.n_graphs, 2);
 
     let engine = Engine::new(2);
     let (unsharded, _) = engine::corpus::generate(&config, &engine).expect("cold corpus");
     persist::save_merge(engine.cache(), &path, config.seed).unwrap();
 
-    let cache = Level1Cache::new();
+    // Cold: the fold-back is observable, so the warm check is not vacuous.
+    let cold_cache = Arc::new(Level1Cache::new());
+    let (cold, _) = run_cached(&config, &plan, 2, &cold_cache);
+    common::assert_corpora_bit_identical(&unsharded, &cold, "cold sharded run");
+    assert_eq!(
+        cold_cache.len(),
+        engine.cache().len(),
+        "a cold run solves and folds back every depth-1 class"
+    );
+    assert!(!cold_cache.is_empty());
+
+    let cache = Arc::new(Level1Cache::new());
     assert!(matches!(
         persist::load_into(&cache, &path, config.seed),
         persist::LoadStatus::Loaded(_)
     ));
-    let solves_before = cache.misses();
-    let plan = ShardPlan::split_even(config.n_graphs, 2);
-    let (warm, report) = shard::run_local(&config, &plan, 2, &cache).expect("warm sharded run");
+    let entries_before = cache.len();
+    assert_eq!(entries_before, engine.cache().len());
+    let (warm, _) = run_cached(&config, &plan, 2, &cache);
     common::assert_corpora_bit_identical(&unsharded, &warm, "warm sharded run");
-    assert_eq!(
-        report.cache_hits(),
-        config.n_graphs,
-        "every depth-1 cell served from the file"
-    );
-    assert_eq!(cache.misses(), solves_before, "no new depth-1 solves");
+    assert_eq!(cache.len(), entries_before, "no new depth-1 solves");
     std::fs::remove_file(&path).ok();
 }
 
@@ -167,7 +188,8 @@ fn wire_path_matches_unsharded_through_a_loopback_server() {
         let plan = ShardPlan::split_even(config.n_graphs, shards);
         let mut transport = LoopbackTransport::new(2, 2);
         let (merged, report) =
-            shard::run_wire(&config, &plan, &mut transport).expect("wire-sharded run");
+            shard::run_wire(&config, &plan, &mut transport, &StreamOptions::default())
+                .expect("wire-sharded run");
         assert_eq!(report.cells(), config.n_graphs * config.max_depth);
         assert_eq!(report.lost_workers, 0);
         assert_eq!(report.retasked, 0);
@@ -240,7 +262,7 @@ fn coordinator_rejects_protocol_violations() {
     let plan = ShardPlan::split_even(config.n_graphs, 1);
     let fails = |hook: Box<dyn FnMut(usize, String) -> Vec<String>>, what: &str| {
         let mut transport = MutateLines::new(LoopbackTransport::new(1, 1), hook);
-        let err = shard::run_wire(&config, &plan, &mut transport)
+        let err = shard::run_wire(&config, &plan, &mut transport, &StreamOptions::default())
             .err()
             .unwrap_or_else(|| panic!("{what}: coordinator must reject"));
         assert!(
@@ -339,7 +361,7 @@ fn swallowed_done_times_out_and_exhausts_the_fleet() {
         timeout: Duration::from_millis(300),
         ..StreamOptions::default()
     };
-    match shard::run_wire_with(&config, &plan, &mut transport, &options) {
+    match shard::run_wire(&config, &plan, &mut transport, &options) {
         Err(engine::ShardError::Transport(message)) => {
             assert!(message.contains("all 1 workers lost"), "got: {message}");
         }
