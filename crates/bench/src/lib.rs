@@ -252,18 +252,29 @@ impl RunConfig {
     /// Saves `cache` back to `--cache-file` (merged with any entries
     /// another process persisted meanwhile). No-op without the flag; a
     /// failed save is a stderr warning, never fatal — the cache is an
-    /// optimization.
+    /// optimization. The hit/miss clause is printed only when this
+    /// process looked entries up in `cache`: a shard coordinator's cache
+    /// only collects worker entries, so it has no hits or misses to report.
     pub fn persist_level1(&self, cache: &engine::Level1Cache) {
         let Some(path) = &self.cache_file else {
             return;
         };
         match engine::persist::save_merge(cache, path, self.seed) {
-            Ok(n) => eprintln!(
-                "# cache-file {}: saved {n} depth-1 entries ({} hits / {} misses this run)",
-                path.display(),
-                cache.hits(),
-                cache.misses(),
-            ),
+            Ok(n) => {
+                let lookups = if cache.hits() + cache.misses() > 0 {
+                    format!(
+                        " ({} hits / {} misses this run)",
+                        cache.hits(),
+                        cache.misses()
+                    )
+                } else {
+                    String::new()
+                };
+                eprintln!(
+                    "# cache-file {}: saved {n} depth-1 entries{lookups}",
+                    path.display()
+                );
+            }
             Err(e) => eprintln!(
                 "# warning: could not save cache-file {}: {e}",
                 path.display()

@@ -184,25 +184,41 @@ fn qaoa_shard_cli_matches_the_unsharded_corpus_tsv() {
         .expect("in-memory TSV");
     assert!(!expected.is_empty());
 
-    let run = |extra: &[&str]| -> Vec<u8> {
+    let run = |extra: &[&str]| -> (Vec<u8>, String) {
         let output = std::process::Command::new(shard_bin)
             .args(common)
             .args(extra)
             .output()
             .expect("qaoa-shard runs");
+        let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
         assert!(
             output.status.success(),
-            "qaoa-shard {extra:?} failed: {}",
-            String::from_utf8_lossy(&output.stderr)
+            "qaoa-shard {extra:?} failed: {stderr}"
         );
-        output.stdout
+        (output.stdout, stderr)
     };
+    let cache_path = std::env::temp_dir().join(format!(
+        "qaoa_subprocess_shard_{}.cache",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&cache_path);
+    let (default_tsv, stderr) = run(&[
+        "--cache-file",
+        cache_path.to_str().expect("utf-8 temp path"),
+    ]);
+    let _ = std::fs::remove_file(&cache_path);
     assert_eq!(
-        run(&[]),
-        expected,
+        default_tsv, expected,
         "default-mode stdout TSV differs from engine::corpus"
     );
-    let spawned = run(&[
+    // The coordinator's cache only collects worker entries; it must not
+    // claim a hit/miss count it never measured.
+    assert!(
+        stderr.contains("saved "),
+        "no cache-file save line: {stderr}"
+    );
+    assert!(!stderr.contains("hits /"), "unmeasured hit count: {stderr}");
+    let (spawned, _) = run(&[
         "--shards",
         "3",
         "--workers",

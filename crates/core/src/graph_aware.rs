@@ -212,16 +212,7 @@ impl GraphAwarePredictor {
 
         let level2 = QaoaInstance::new(problem.clone(), target_depth)?;
         let l2 = level2.optimize(optimizer, &init, options)?;
-        Ok(TwoLevelOutcome {
-            params: l2.params,
-            expectation: l2.expectation,
-            approximation_ratio: l2.approximation_ratio,
-            level1_calls: l1.function_calls,
-            intermediate_calls: 0,
-            level2_calls: l2.function_calls,
-            gradient_calls: l1.gradient_calls + l2.gradient_calls,
-            predicted_init: init,
-        })
+        Ok(TwoLevelOutcome::assemble(&l1, l2, init))
     }
 }
 

@@ -1,4 +1,6 @@
-use optimize::{Objective, Optimizer, Options, Termination};
+use std::cell::RefCell;
+
+use optimize::{Fallible, Objective, Optimizer, Options, Termination};
 use rand::Rng;
 
 use crate::{eval, parameter_bounds, MaxCutProblem, QaoaAnsatz, QaoaError};
@@ -103,30 +105,15 @@ impl QaoaInstance {
         initial: &[f64],
         options: &Options,
     ) -> Result<InstanceOutcome, QaoaError> {
-        if initial.len() != self.ansatz.n_parameters() {
-            return Err(QaoaError::ParameterCount {
-                expected: self.ansatz.n_parameters(),
-                actual: initial.len(),
-            });
-        }
-        let bounds = parameter_bounds(self.depth())?;
         // Negate: the optimizer minimizes, QAOA maximizes ⟨C⟩. The
         // objective carries the exact adjoint gradient, so gradient-based
         // optimizers (L-BFGS-B, SLSQP) skip their finite-difference probes;
         // evaluations run in the worker thread's cached EvalContext.
         let objective = NegatedAnsatz {
             ansatz: &self.ansatz,
+            error: RefCell::new(None),
         };
-        let result = optimizer.minimize_objective(&objective, initial, &bounds, options)?;
-        let expectation = -result.fx;
-        Ok(InstanceOutcome {
-            approximation_ratio: self.problem().approximation_ratio(expectation),
-            params: result.x,
-            expectation,
-            function_calls: result.n_calls,
-            gradient_calls: result.n_grad_calls,
-            termination: result.termination,
-        })
+        minimize(&self.ansatz, optimizer, &objective, initial, options)
     }
 
     /// The paper's "naive" protocol: `n_starts` local runs from uniformly
@@ -135,12 +122,8 @@ impl QaoaInstance {
     ///
     /// # Errors
     ///
-    /// * [`QaoaError::InvalidDepth`] (propagated from bounds construction).
+    /// * [`QaoaError::InvalidScenario`] if `n_starts == 0`.
     /// * Optimizer errors from any start.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_starts == 0`.
     pub fn optimize_multistart<R: Rng + ?Sized>(
         &self,
         optimizer: &dyn Optimizer,
@@ -148,56 +131,140 @@ impl QaoaInstance {
         rng: &mut R,
         options: &Options,
     ) -> Result<InstanceOutcome, QaoaError> {
-        assert!(n_starts > 0, "multistart needs at least one start");
-        let bounds = parameter_bounds(self.depth())?;
-        let mut best: Option<InstanceOutcome> = None;
-        let mut total_calls = 0usize;
-        let mut total_grad_calls = 0usize;
-        for _ in 0..n_starts {
-            let start = bounds.sample(rng);
-            let outcome = self.optimize(optimizer, &start, options)?;
-            total_calls += outcome.function_calls;
-            total_grad_calls += outcome.gradient_calls;
-            if best
-                .as_ref()
-                .is_none_or(|b| outcome.expectation > b.expectation)
-            {
-                best = Some(outcome);
-            }
-        }
-        let mut best = best.expect("n_starts > 0");
-        best.function_calls = total_calls;
-        best.gradient_calls = total_grad_calls;
-        Ok(best)
+        best_of_starts(self.depth(), n_starts, rng, |start| {
+            self.optimize(optimizer, start, options)
+        })
     }
+}
+
+/// An objective that hands the optimizer `NaN` for a failed evaluation and
+/// keeps the first error for the caller, as [`Fallible`] does.
+pub(crate) trait FallibleObjective: Objective {
+    /// Removes and returns the first captured evaluation error.
+    fn take_error(&self) -> Option<QaoaError>;
+}
+
+impl FallibleObjective for Fallible<'_, QaoaError> {
+    fn take_error(&self) -> Option<QaoaError> {
+        Fallible::take_error(self)
+    }
+}
+
+/// One local run of `objective` (which minimizes `−⟨C⟩`) over `ansatz`'s
+/// parameter box from `initial` — the closed loop of Fig. 1 that every
+/// scenario runs through. The outcome's expectation is `−fx`.
+///
+/// # Errors
+///
+/// * [`QaoaError::ParameterCount`] if `initial` has the wrong length.
+/// * Optimizer errors, then the first evaluation error of any probe.
+pub(crate) fn minimize(
+    ansatz: &QaoaAnsatz,
+    optimizer: &dyn Optimizer,
+    objective: &impl FallibleObjective,
+    initial: &[f64],
+    options: &Options,
+) -> Result<InstanceOutcome, QaoaError> {
+    if initial.len() != ansatz.n_parameters() {
+        return Err(QaoaError::ParameterCount {
+            expected: ansatz.n_parameters(),
+            actual: initial.len(),
+        });
+    }
+    let bounds = parameter_bounds(ansatz.depth())?;
+    let result = optimizer.minimize_objective(objective, initial, &bounds, options)?;
+    if let Some(err) = objective.take_error() {
+        return Err(err);
+    }
+    let expectation = -result.fx;
+    Ok(InstanceOutcome {
+        approximation_ratio: ansatz.problem().approximation_ratio(expectation),
+        params: result.x,
+        expectation,
+        function_calls: result.n_calls,
+        gradient_calls: result.n_grad_calls,
+        termination: result.termination,
+    })
+}
+
+/// The multistart protocol over any local run: `n_starts` starts drawn
+/// uniformly from the depth-`depth` parameter box, the best outcome by
+/// `expectation`, with the function and gradient calls of all starts
+/// summed.
+///
+/// # Errors
+///
+/// * [`QaoaError::InvalidScenario`] if `n_starts == 0`.
+/// * The first error of any start.
+pub(crate) fn best_of_starts<R: Rng + ?Sized>(
+    depth: usize,
+    n_starts: usize,
+    rng: &mut R,
+    run: impl Fn(&[f64]) -> Result<InstanceOutcome, QaoaError>,
+) -> Result<InstanceOutcome, QaoaError> {
+    let bounds = parameter_bounds(depth)?;
+    let mut best: Option<InstanceOutcome> = None;
+    let mut total_calls = 0usize;
+    let mut total_grad_calls = 0usize;
+    for _ in 0..n_starts {
+        let outcome = run(&bounds.sample(rng))?;
+        total_calls += outcome.function_calls;
+        total_grad_calls += outcome.gradient_calls;
+        if best
+            .as_ref()
+            .is_none_or(|b| outcome.expectation > b.expectation)
+        {
+            best = Some(outcome);
+        }
+    }
+    let mut best = best.ok_or(QaoaError::InvalidScenario {
+        reason: "multistart needs at least one start",
+    })?;
+    best.function_calls = total_calls;
+    best.gradient_calls = total_grad_calls;
+    Ok(best)
 }
 
 /// The minimized objective `−⟨C⟩` with its exact adjoint gradient, evaluated
 /// in the calling thread's cached [`EvalContext`](crate::EvalContext).
-/// In-bounds parameter vectors always produce finite expectations, so the
-/// `expect`s cannot fire under an optimizer (which only probes inside the
-/// box).
 struct NegatedAnsatz<'a> {
     ansatz: &'a QaoaAnsatz,
+    error: RefCell<Option<QaoaError>>,
+}
+
+impl NegatedAnsatz<'_> {
+    /// `−⟨C⟩` for a successful evaluation; `NaN` for a failed one, whose
+    /// error is kept if it is the first.
+    fn negated(&self, evaluation: Result<f64, QaoaError>) -> f64 {
+        match evaluation {
+            Ok(e) => -e,
+            Err(err) => {
+                self.error.borrow_mut().get_or_insert(err);
+                f64::NAN
+            }
+        }
+    }
 }
 
 impl Objective for NegatedAnsatz<'_> {
     fn value(&self, x: &[f64]) -> f64 {
-        -self
-            .ansatz
-            .expectation(x)
-            .expect("in-bounds parameters always evaluate")
+        self.negated(self.ansatz.expectation(x))
     }
 
     fn value_and_grad(&self, x: &[f64], grad: &mut [f64]) -> Option<f64> {
         let e = eval::with_thread_context(self.ansatz.problem().n_qubits(), |ctx| {
             self.ansatz.expectation_and_grad_in(ctx, x, grad)
-        })
-        .expect("in-bounds parameters always evaluate");
+        });
         for g in grad.iter_mut() {
             *g = -*g;
         }
-        Some(-e)
+        Some(self.negated(e))
+    }
+}
+
+impl FallibleObjective for NegatedAnsatz<'_> {
+    fn take_error(&self) -> Option<QaoaError> {
+        self.error.borrow_mut().take()
     }
 }
 
@@ -281,6 +348,16 @@ mod tests {
             .optimize_multistart(&Slsqp::default(), 5, &mut rng, &Options::default())
             .unwrap();
         assert!(five.function_calls > one.function_calls);
+    }
+
+    #[test]
+    fn zero_starts_is_an_error_not_a_panic() {
+        let instance = single_edge_instance(1);
+        let mut rng = StdRng::seed_from_u64(0);
+        assert!(matches!(
+            instance.optimize_multistart(&Lbfgsb::default(), 0, &mut rng, &Options::default()),
+            Err(QaoaError::InvalidScenario { .. })
+        ));
     }
 
     #[test]

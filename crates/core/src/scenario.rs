@@ -33,11 +33,11 @@
 
 use std::fmt;
 
-use optimize::{Optimizer, Options, Spsa};
+use optimize::{Fallible, Optimizer, Options, Spsa};
 use qsim::NoiseModel;
 use rand::Rng;
 
-use crate::instance::InstanceOutcome;
+use crate::instance::{best_of_starts, minimize, InstanceOutcome};
 use crate::noisy::NoisyQaoa;
 use crate::sampled::SampledExpectation;
 use crate::stablehash::mix64;
@@ -201,15 +201,22 @@ impl ScenarioInstance {
         }
     }
 
-    /// One local optimization from `initial`.
+    /// One local optimization from `initial`, every objective evaluation
+    /// counted as one QC call.
     ///
     /// Exact and noisy scenarios run `optimizer`; sampled scenarios always
     /// run the seeded SPSA instead (finite-difference or adjoint gradients
-    /// are meaningless on a stochastic objective).
+    /// are meaningless on a stochastic objective). A sampled outcome's
+    /// `expectation` and `approximation_ratio` are judged on the **exact**
+    /// expectation at the returned point, so rows remain comparable with
+    /// the noiseless Table-I protocol; a noisy outcome reports the noisy
+    /// energy it reached. A failed evaluation is returned as its
+    /// [`QaoaError`], never a panic.
     ///
     /// # Errors
     ///
-    /// Evaluation and optimizer errors from the scenario path.
+    /// * [`QaoaError::ParameterCount`] on a parameter-length mismatch.
+    /// * Evaluation and optimizer errors from the scenario path.
     pub fn optimize(
         &self,
         optimizer: &dyn Optimizer,
@@ -218,8 +225,24 @@ impl ScenarioInstance {
     ) -> Result<InstanceOutcome, QaoaError> {
         match &self.inner {
             Inner::Exact(i) => i.optimize(optimizer, initial, options),
-            Inner::Sampled { objective, spsa } => objective.optimize(spsa, initial, options),
-            Inner::Noisy(n) => n.optimize(optimizer, initial, options),
+            Inner::Sampled { objective, spsa } => {
+                let ansatz = objective.ansatz();
+                let evaluate = |x: &[f64]| objective.estimate(x).map(|e| -e);
+                let mut out = minimize(ansatz, spsa, &Fallible::new(&evaluate), initial, options)?;
+                out.expectation = ansatz.expectation(&out.params)?;
+                out.approximation_ratio = ansatz.problem().approximation_ratio(out.expectation);
+                Ok(out)
+            }
+            Inner::Noisy(n) => {
+                let evaluate = |x: &[f64]| n.expectation(x).map(|e| -e);
+                minimize(
+                    n.ansatz(),
+                    optimizer,
+                    &Fallible::new(&evaluate),
+                    initial,
+                    options,
+                )
+            }
         }
     }
 
@@ -240,18 +263,9 @@ impl ScenarioInstance {
         rng: &mut R,
         options: &Options,
     ) -> Result<InstanceOutcome, QaoaError> {
-        if n_starts == 0 {
-            return Err(QaoaError::InvalidScenario {
-                reason: "multistart needs at least one start",
-            });
-        }
-        match &self.inner {
-            Inner::Exact(i) => i.optimize_multistart(optimizer, n_starts, rng, options),
-            Inner::Sampled { objective, spsa } => {
-                objective.optimize_multistart(spsa, n_starts, rng, options)
-            }
-            Inner::Noisy(n) => n.optimize_multistart(optimizer, n_starts, rng, options),
-        }
+        best_of_starts(self.depth(), n_starts, rng, |start| {
+            self.optimize(optimizer, start, options)
+        })
     }
 
     /// The exact (noiseless, infinite-shot) expectation at `params` — the

@@ -3,7 +3,7 @@ use rand::Rng;
 
 use crate::scenario::{Scenario, ScenarioInstance};
 use crate::stablehash::mix64;
-use crate::{MaxCutProblem, ParameterPredictor, QaoaError, QaoaInstance};
+use crate::{InstanceOutcome, MaxCutProblem, ParameterPredictor, QaoaError, QaoaInstance};
 
 /// Domain separators for the level-1 and level-2 scenario seeds, so the two
 /// levels of one run never share a shot schedule.
@@ -58,6 +58,25 @@ impl TwoLevelOutcome {
     #[must_use]
     pub fn total_calls(&self) -> usize {
         self.level1_calls + self.intermediate_calls + self.level2_calls
+    }
+
+    /// The outcome of a level-1 run and a level-2 run seeded by
+    /// `predicted_init`, with no intermediate level.
+    pub(crate) fn assemble(
+        level1: &InstanceOutcome,
+        level2: InstanceOutcome,
+        predicted_init: Vec<f64>,
+    ) -> Self {
+        Self {
+            params: level2.params,
+            expectation: level2.expectation,
+            approximation_ratio: level2.approximation_ratio,
+            level1_calls: level1.function_calls,
+            intermediate_calls: 0,
+            level2_calls: level2.function_calls,
+            gradient_calls: level1.gradient_calls + level2.gradient_calls,
+            predicted_init,
+        }
     }
 }
 
@@ -122,11 +141,15 @@ impl<'a> TwoLevelFlow<'a> {
         config: &TwoLevelConfig,
         rng: &mut R,
     ) -> Result<TwoLevelOutcome, QaoaError> {
-        // Level 1: cheap p = 1 optimization from random init.
-        let level1 = QaoaInstance::new(problem.clone(), 1)?;
-        let l1 =
-            level1.optimize_multistart(optimizer, config.level1_starts, rng, &config.options)?;
-        self.run_with_level1(problem, target_depth, optimizer, config, &l1)
+        self.run_scenario(
+            problem,
+            target_depth,
+            optimizer,
+            config,
+            rng,
+            &Scenario::Exact,
+            0,
+        )
     }
 
     /// Runs the flow's second level from an **already-computed** depth-1
@@ -150,30 +173,10 @@ impl<'a> TwoLevelFlow<'a> {
         target_depth: usize,
         optimizer: &dyn Optimizer,
         config: &TwoLevelConfig,
-        level1: &crate::InstanceOutcome,
+        level1: &InstanceOutcome,
     ) -> Result<TwoLevelOutcome, QaoaError> {
-        // Predict tuned initial parameters for the target depth. The level-1
-        // optimum is folded into the canonical symmetry domain first, so it
-        // matches the corpus the predictor was trained on.
-        let l1_canon = crate::canonical::canonicalize_packed(&level1.params);
-        let init = self
-            .predictor
-            .predict(l1_canon[0], l1_canon[1], target_depth)?;
-
-        // Level 2: target-depth optimization from the ML initialization.
-        let level2 = QaoaInstance::new(problem.clone(), target_depth)?;
-        let l2 = level2.optimize(optimizer, &init, &config.options)?;
-
-        Ok(TwoLevelOutcome {
-            params: l2.params,
-            expectation: l2.expectation,
-            approximation_ratio: l2.approximation_ratio,
-            level1_calls: level1.function_calls,
-            intermediate_calls: 0,
-            level2_calls: l2.function_calls,
-            gradient_calls: level1.gradient_calls + l2.gradient_calls,
-            predicted_init: init,
-        })
+        let level2 = ScenarioInstance::new(problem.clone(), target_depth, &Scenario::Exact, 0)?;
+        self.level2(&level2, optimizer, &config.options, level1)
     }
 
     /// Runs the two-level flow with every objective evaluation performed
@@ -182,8 +185,8 @@ impl<'a> TwoLevelFlow<'a> {
     /// noisy Table-I question.
     ///
     /// `base_seed` feeds the stochastic scenarios, domain-separated per
-    /// level; [`Scenario::Exact`] reproduces [`TwoLevelFlow::run`]
-    /// bit-for-bit.
+    /// level. [`TwoLevelFlow::run`] is this flow under [`Scenario::Exact`],
+    /// where the seed is unused.
     ///
     /// # Errors
     ///
@@ -213,32 +216,14 @@ impl<'a> TwoLevelFlow<'a> {
         let l1 =
             level1.optimize_multistart(optimizer, config.level1_starts, rng, &config.options)?;
 
-        // Predict tuned initial parameters for the target depth.
-        let l1_canon = crate::canonical::canonicalize_packed(&l1.params);
-        let init = self
-            .predictor
-            .predict(l1_canon[0], l1_canon[1], target_depth)?;
-
-        // Level 2: target-depth optimization from the ML initialization,
-        // under the scenario.
+        // Level 2 at the target depth, under the scenario.
         let level2 = ScenarioInstance::new(
             problem.clone(),
             target_depth,
             scenario,
             mix64(base_seed ^ LEVEL2_DOMAIN),
         )?;
-        let l2 = level2.optimize(optimizer, &init, &config.options)?;
-
-        Ok(TwoLevelOutcome {
-            params: l2.params,
-            expectation: l2.expectation,
-            approximation_ratio: l2.approximation_ratio,
-            level1_calls: l1.function_calls,
-            intermediate_calls: 0,
-            level2_calls: l2.function_calls,
-            gradient_calls: l1.gradient_calls + l2.gradient_calls,
-            predicted_init: init,
-        })
+        self.level2(&level2, optimizer, &config.options, &l1)
     }
 
     /// Runs the hierarchical variant (§I(d)): level 1 at `p = 1`, an
@@ -293,16 +278,29 @@ impl<'a> TwoLevelFlow<'a> {
         let level2 = QaoaInstance::new(problem.clone(), target_depth)?;
         let l2 = level2.optimize(optimizer, &init, &config.options)?;
 
-        Ok(TwoLevelOutcome {
-            params: l2.params,
-            expectation: l2.expectation,
-            approximation_ratio: l2.approximation_ratio,
-            level1_calls: l1.function_calls,
-            intermediate_calls: mid.function_calls,
-            level2_calls: l2.function_calls,
-            gradient_calls: l1.gradient_calls + mid.gradient_calls + l2.gradient_calls,
-            predicted_init: init,
-        })
+        let mut outcome = TwoLevelOutcome::assemble(&l1, l2, init);
+        outcome.intermediate_calls = mid.function_calls;
+        outcome.gradient_calls += mid.gradient_calls;
+        Ok(outcome)
+    }
+
+    /// Level 2 of the flow: folds the level-1 optimum into the canonical
+    /// symmetry domain (the corpus the predictor was trained on), predicts
+    /// tuned initial parameters at `instance`'s depth and optimizes from
+    /// them.
+    fn level2(
+        &self,
+        instance: &ScenarioInstance,
+        optimizer: &dyn Optimizer,
+        options: &Options,
+        level1: &InstanceOutcome,
+    ) -> Result<TwoLevelOutcome, QaoaError> {
+        let l1_canon = crate::canonical::canonicalize_packed(&level1.params);
+        let init = self
+            .predictor
+            .predict(l1_canon[0], l1_canon[1], instance.depth())?;
+        let l2 = instance.optimize(optimizer, &init, options)?;
+        Ok(TwoLevelOutcome::assemble(level1, l2, init))
     }
 }
 
@@ -357,32 +355,49 @@ mod tests {
     }
 
     #[test]
-    fn exact_scenario_run_matches_plain_run_bit_for_bit() {
+    fn run_matches_hand_composed_two_level_flow() {
         let ds = corpus();
         let predictor = ParameterPredictor::train(ModelKind::Linear, &ds).unwrap();
         let flow = TwoLevelFlow::new(&predictor);
         let problem = MaxCutProblem::new(&generators::cycle(5)).unwrap();
-        let a = flow
+        let config = TwoLevelConfig::default();
+        let out = flow
             .run(
                 &problem,
                 2,
                 &Lbfgsb::default(),
-                &TwoLevelConfig::default(),
+                &config,
                 &mut StdRng::seed_from_u64(2),
             )
             .unwrap();
-        let b = flow
-            .run_scenario(
-                &problem,
-                2,
+
+        // Reference: Fig. 4 composed by hand from plain instances — level-1
+        // multistart, prediction from the canonicalized optimum, level-2
+        // local run from the prediction.
+        let l1 = QaoaInstance::new(problem.clone(), 1)
+            .unwrap()
+            .optimize_multistart(
                 &Lbfgsb::default(),
-                &TwoLevelConfig::default(),
+                config.level1_starts,
                 &mut StdRng::seed_from_u64(2),
-                &Scenario::Exact,
-                12345,
+                &config.options,
             )
             .unwrap();
-        assert_eq!(a, b);
+        let canon = crate::canonical::canonicalize_packed(&l1.params);
+        let init = predictor.predict(canon[0], canon[1], 2).unwrap();
+        let l2 = QaoaInstance::new(problem, 2)
+            .unwrap()
+            .optimize(&Lbfgsb::default(), &init, &config.options)
+            .unwrap();
+
+        assert_eq!(out.params, l2.params);
+        assert_eq!(out.expectation, l2.expectation);
+        assert_eq!(out.approximation_ratio, l2.approximation_ratio);
+        assert_eq!(out.level1_calls, l1.function_calls);
+        assert_eq!(out.intermediate_calls, 0);
+        assert_eq!(out.level2_calls, l2.function_calls);
+        assert_eq!(out.gradient_calls, l1.gradient_calls + l2.gradient_calls);
+        assert_eq!(out.predicted_init, init);
     }
 
     #[test]

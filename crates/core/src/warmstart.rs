@@ -13,7 +13,7 @@
 //!
 //! Parameter vectors use the crate's packed layout `[γ₁…γ_p, β₁…β_p]`.
 
-use optimize::{Optimizer, Options};
+use optimize::{Fallible, Optimizer, Options};
 use rand::Rng;
 
 use crate::{parameter_bounds, MaxCutProblem, QaoaError, QaoaInstance, BETA_MAX, GAMMA_MAX};
@@ -253,7 +253,7 @@ impl FourierFlow {
     ///
     /// * [`QaoaError::InvalidDepth`] for `target_depth == 0` or a zero
     ///   `max_terms`.
-    /// * Instance/optimizer errors from any depth.
+    /// * Instance, evaluation and optimizer errors from any depth.
     pub fn run<R: Rng + ?Sized>(
         &self,
         problem: &MaxCutProblem,
@@ -268,7 +268,8 @@ impl FourierFlow {
         // Coefficient state carried across depths.
         let mut u: Vec<f64> = Vec::new();
         let mut v: Vec<f64> = Vec::new();
-        let mut final_outcome = None;
+        // Energy at the last optimized depth (the loop runs at least once).
+        let mut expectation = f64::NAN;
 
         for depth in 1..=target_depth {
             let q = depth.min(self.max_terms);
@@ -282,34 +283,35 @@ impl FourierFlow {
 
             let instance = QaoaInstance::new(problem.clone(), depth)?;
             let ansatz = instance.ansatz();
-            let objective = |x: &[f64]| {
+            let evaluate = |x: &[f64]| {
                 let (cu, cv) = x.split_at(q);
                 let params = fourier_to_params(cu, cv, depth);
-                -ansatz
-                    .expectation(&params)
-                    .expect("clamped parameters always evaluate")
+                ansatz.expectation(&params).map(|e| -e)
             };
+            let objective = Fallible::new(&evaluate);
             // Generous symmetric coefficient box; the schedule itself is
             // clamped into the paper's domain by `fourier_to_params`.
             let bounds =
                 optimize::Bounds::uniform(2 * q, -std::f64::consts::PI, std::f64::consts::PI)?;
             let start: Vec<f64> = u.iter().chain(v.iter()).copied().collect();
-            let result = optimizer.minimize(&objective, &start, &bounds, &self.options)?;
+            let result =
+                optimizer.minimize_objective(&objective, &start, &bounds, &self.options)?;
+            if let Some(err) = objective.take_error() {
+                return Err(err);
+            }
             calls.push(result.n_calls);
 
             u.copy_from_slice(&result.x[..q]);
             v.copy_from_slice(&result.x[q..]);
-            let params = fourier_to_params(&u, &v, depth);
-            let expectation = -result.fx;
-            final_outcome = Some(WarmStartOutcome {
-                approximation_ratio: problem.approximation_ratio(expectation),
-                params,
-                expectation,
-                calls_per_depth: calls.clone(),
-            });
+            expectation = -result.fx;
         }
 
-        Ok(final_outcome.expect("target_depth >= 1 guarantees an outcome"))
+        Ok(WarmStartOutcome {
+            approximation_ratio: problem.approximation_ratio(expectation),
+            params: fourier_to_params(&u, &v, target_depth),
+            expectation,
+            calls_per_depth: calls,
+        })
     }
 }
 

@@ -11,6 +11,7 @@
 use graphs::generators;
 use optimize::{NelderMead, Options};
 use qaoa::noisy::NoisyQaoa;
+use qaoa::scenario::{Scenario, ScenarioInstance};
 use qaoa::{MaxCutProblem, QaoaInstance};
 use qsim::NoiseModel;
 use rand::rngs::StdRng;
@@ -45,7 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // (b) Re-optimize in the presence of noise, warm-started from the
         // noiseless optimum.
-        let reopt = noisy.optimize(
+        let scenario = Scenario::Noisy { p1: p2 / 10.0, p2 };
+        let reopt = ScenarioInstance::new(problem.clone(), depth, &scenario, 0)?.optimize(
             &NelderMead::default(),
             &clean.params,
             &Options::default().with_max_iters(100),
