@@ -59,8 +59,14 @@ fn workload(n: usize, p: usize) -> (QaoaAnsatz, Vec<f64>) {
     (ansatz, params)
 }
 
+/// Iteration budget per bench, still capped by the 500 ms measurement
+/// time: enough calls that a few-µs n = 8 evaluation is timed over tens of
+/// milliseconds, not the default 20 calls.
+const SAMPLES: usize = 20_000;
+
 fn bench_expectation_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("expectation");
+    group.sample_size(SAMPLES);
     for n in [8usize, 12, 16, 20] {
         let (ansatz, params) = workload(n, 2);
         group.bench_with_input(BenchmarkId::new("allocating", n), &n, |b, _| {
@@ -92,6 +98,7 @@ fn bench_expectation_paths(c: &mut Criterion) {
 
 fn bench_gradient_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("gradient");
+    group.sample_size(SAMPLES);
     for n in [8usize, 12, 16, 20] {
         let (ansatz, params) = workload(n, 2);
         let dim = params.len();

@@ -12,11 +12,13 @@ use crate::{EvalContext, MaxCutProblem, QaoaError};
 ///
 /// **Fast diagonal path** ([`QaoaAnsatz::expectation_in`]): because the
 /// cost Hamiltonian is diagonal, `e^{−iγC}` is a per-amplitude phase and
-/// only the mixing layer needs gate kernels. This is `O(2ⁿ·(1 + n))` per stage versus `O(2ⁿ·(|E| + n))` for
-/// the gate path and is what the optimization loop uses — through a
-/// reusable [`EvalContext`] running on the split re/im SoA kernels of
-/// `qsim::soa` (autovectorized, cache-blocked, optionally fanned out within
-/// one state), which also provides the exact adjoint gradient
+/// only the mixing layer needs gate kernels. MaxCut's bit-flip symmetry
+/// `C(z) = C(z̄)` halves it again: the path evolves only the `2^(n−1)`
+/// amplitudes with top bit 0, `O(2^(n−1)·(1 + n))` per stage versus
+/// `O(2ⁿ·(|E| + n))` for the gate path. It is what the optimization loop
+/// uses — through a reusable [`EvalContext`] running on the split re/im SoA
+/// kernels of `qsim::soa` (autovectorized, cache-blocked, optionally fanned
+/// out within one state), which also provides the exact adjoint gradient
 /// ([`QaoaAnsatz::expectation_and_grad_in`]). The paths agree to machine
 /// precision (see tests and the `qsim_paths` / `eval_hot_path` benches).
 ///
@@ -162,7 +164,7 @@ impl QaoaAnsatz {
     }
 
     /// The objective **and its exact gradient** by the adjoint method, in
-    /// `O(p·n·2ⁿ)` — roughly the cost of three plain evaluations,
+    /// `O(p·n·2^(n−1))` — roughly the cost of three plain evaluations,
     /// independent of the parameter count (finite differences need `2p + 1`
     /// evaluations). Writes `∂⟨C⟩/∂γ_k` into `grad[k]` and `∂⟨C⟩/∂β_k` into
     /// `grad[p + k]`, returns `⟨C⟩`. Verified against central differences

@@ -8,18 +8,26 @@
 //! stage. [`EvalContext`] removes all of it:
 //!
 //! * the state (and, for gradients, the adjoint state) live in **reusable
-//!   buffers** reset in place per evaluation,
+//!   buffers** reset in place per evaluation — no heap allocation once the
+//!   buffers are sized (pinned by `tests/tests/alloc_free.rs`),
 //! * the phase-separation layer is applied through a **per-level phase
 //!   table** — `cis(−γ·c)` computed once per distinct cut value (at most
 //!   `|E| + 1` of them) instead of once per basis state,
+//! * only **half the register** is evolved: the MaxCut cost is invariant
+//!   under flipping every bit (`C(z) = C(z̄)`), and so are `|+…+⟩` and the
+//!   mixer, so `ψ(z) = ψ(z̄)` at every stage. The context stores the
+//!   `2^(n−1)` amplitudes with top bit 0 ([`qsim::soa::FlipSymmetricState`])
+//!   and its kernels reproduce the full register's arithmetic and reduction
+//!   order exactly, so every energy and gradient is bit-identical to the
+//!   full-register computation (`tests/tests/kernel_parity.rs`),
 //! * both layers run on the split re/im structure-of-arrays kernels of
-//!   [`qsim::soa::SplitState`]: autovectorized straight-line loops,
-//!   cache-blocked so one memory sweep applies the phase layer plus all
-//!   low-qubit mixing sub-layers, and fanned out across scoped threads for
-//!   large registers (see [`EvalContext::set_threads`]).
+//!   [`qsim::soa`]: autovectorized straight-line loops, cache-blocked so one
+//!   memory sweep applies the phase layer plus all low-qubit mixing
+//!   sub-layers, and fanned out across scoped threads for large registers
+//!   (see [`EvalContext::set_threads`]).
 //!
 //! The same context also computes **exact analytic gradients** by the
-//! adjoint method in `O(p · n · 2^n)` — roughly three forward passes,
+//! adjoint method in `O(p · n · 2^(n−1))` — roughly three forward passes,
 //! independent of the parameter count — where finite differences need
 //! `2p + 1` full evaluations. Because the cost Hamiltonian is diagonal, the
 //! backward pass is a phase conjugation plus per-qubit RX derivatives; no
@@ -35,11 +43,13 @@
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 
-use qsim::soa::{self, SplitState};
+use qsim::soa::{FlipSymmetricState, SplitState};
 use qsim::DiagonalObservable;
 
 /// Reusable evaluation state: the work state, the adjoint state (gradients
-/// only) and the per-stage phase table, all in split re/im form.
+/// only) and the per-stage phase table, all in split re/im form. Both
+/// states hold only the lower half of the register
+/// ([`FlipSymmetricState`]), which is exact for MaxCut's `C(z) = C(z̄)`.
 ///
 /// Obtain one with [`EvalContext::new`] for exclusive use, or borrow the
 /// calling thread's cached context via [`with_thread_context`]. Pass it to
@@ -66,12 +76,15 @@ use qsim::DiagonalObservable;
 /// ```
 #[derive(Debug, Clone)]
 pub struct EvalContext {
-    state: SplitState,
-    /// Costate buffer for the adjoint backward pass. Kept at width 0 (one
-    /// amplitude) until the first gradient call so expectation-only users —
-    /// gradient-free optimizers, plain `expectation` — never pay for a
-    /// second `2^n` buffer.
-    adjoint: SplitState,
+    state: FlipSymmetricState,
+    /// Costate buffer for the adjoint backward pass. Kept at width 1 (one
+    /// stored amplitude) until the first gradient call so expectation-only
+    /// users — gradient-free optimizers, plain `expectation` — never pay for
+    /// a second buffer.
+    adjoint: FlipSymmetricState,
+    /// The full `2^n` register, written only by [`EvalContext::state`];
+    /// width 0 until someone asks for it.
+    full: SplitState,
     /// Per-level phase factors, split like the state.
     phase_re: Vec<f64>,
     phase_im: Vec<f64>,
@@ -87,8 +100,9 @@ impl EvalContext {
     #[must_use]
     pub fn new(n_qubits: usize) -> Self {
         Self {
-            state: SplitState::plus_state(n_qubits),
-            adjoint: SplitState::plus_state(0),
+            state: FlipSymmetricState::plus_state(n_qubits),
+            adjoint: FlipSymmetricState::plus_state(1),
+            full: SplitState::plus_state(0),
             phase_re: Vec::new(),
             phase_im: Vec::new(),
             threads: 1,
@@ -101,14 +115,16 @@ impl EvalContext {
         self.state.n_qubits()
     }
 
-    /// The work state. After a plain evaluation
+    /// The full work state, mirrored out of the stored half into a buffer
+    /// kept for this call (the expectation and gradient paths never build
+    /// it). After a plain evaluation
     /// ([`QaoaAnsatz::expectation_in`](crate::QaoaAnsatz::expectation_in))
-    /// this is `|ψ(γ, β)⟩`; after a gradient call the backward pass has
-    /// **unwound** it in place (back to `|+…+⟩` up to rounding), so re-run
-    /// a plain evaluation before reading the state.
-    #[must_use]
-    pub fn state(&self) -> &SplitState {
-        &self.state
+    /// this is `|ψ(γ, β)⟩`, bit for bit; after a gradient call the backward
+    /// pass has **unwound** it in place (back to `|+…+⟩` up to rounding), so
+    /// re-run a plain evaluation before reading the state.
+    pub fn state(&mut self) -> &SplitState {
+        self.state.write_full(&mut self.full);
+        &self.full
     }
 
     /// Sets the within-state fan-out budget: how many scoped threads one
@@ -130,7 +146,7 @@ impl EvalContext {
     /// sized separately, on gradient use.
     fn ensure_width(&mut self, n_qubits: usize) {
         if self.state.n_qubits() != n_qubits {
-            self.state = SplitState::plus_state(n_qubits);
+            self.state = FlipSymmetricState::plus_state(n_qubits);
         }
     }
 
@@ -148,10 +164,15 @@ impl EvalContext {
     }
 
     /// Forward pass: `|ψ(γ, β)⟩` into the work state, allocation-free.
-    /// Each stage is one fused phase+mixing sweep plus the high-qubit
-    /// butterflies ([`SplitState::apply_phase_rx`]).
+    /// Each stage is one fused phase+mixing sweep over the stored half plus
+    /// the high-qubit and mirrored top-qubit butterflies
+    /// ([`FlipSymmetricState::apply_phase_rx`]).
     pub(crate) fn run_forward(&mut self, cost: &DiagonalObservable, gammas: &[f64], betas: &[f64]) {
         debug_assert_eq!(cost.level_of().len(), 1usize << cost.n_qubits());
+        debug_assert!(
+            flip_symmetric_sample(cost),
+            "EvalContext evolves half the register: the cost must satisfy C(z) = C(z̄)"
+        );
         self.ensure_width(cost.n_qubits());
         self.state.reset_to_plus(self.threads);
         for (&gamma, &beta) in gammas.iter().zip(betas) {
@@ -191,7 +212,9 @@ impl EvalContext {
     ///
     /// The backward pass undoes each stage on both states in place —
     /// `RX(−2β)` then the conjugate phase table — so the whole computation
-    /// costs `O(p·n·2^n)` and allocates nothing.
+    /// costs `O(p·n·2^(n−1))` and allocates nothing. The costate is
+    /// flip-symmetric too (`C` and every stage commute with a global X), so
+    /// it lives in a half-register buffer like the state.
     pub(crate) fn expectation_and_grad(
         &mut self,
         cost: &DiagonalObservable,
@@ -207,7 +230,7 @@ impl EvalContext {
         // First gradient use (or a width switch): size the lazily-kept
         // adjoint buffer.
         if self.adjoint.n_qubits() != self.state.n_qubits() {
-            self.adjoint = SplitState::plus_state(self.state.n_qubits());
+            self.adjoint = FlipSymmetricState::plus_state(self.state.n_qubits());
         }
         // Costate seed: |λ⟩ = C|ψ⟩ (elementwise, C is diagonal).
         self.adjoint
@@ -215,13 +238,19 @@ impl EvalContext {
 
         for k in (0..p).rev() {
             // β_k gradient at the post-stage states.
-            grad[p + k] = 2.0 * soa::sum_im_cross_x(&self.adjoint, &self.state, self.threads);
+            grad[p + k] =
+                2.0 * FlipSymmetricState::sum_im_cross_x(&self.adjoint, &self.state, self.threads);
             // Undo the mixing layer on both states.
             self.state.apply_rx_layer(-2.0 * betas[k], self.threads);
             self.adjoint.apply_rx_layer(-2.0 * betas[k], self.threads);
             // γ_k gradient now that ψ is the post-phase state.
             grad[k] = 2.0
-                * soa::sum_diag_im_cross(cost.diagonal(), &self.adjoint, &self.state, self.threads);
+                * FlipSymmetricState::sum_diag_im_cross(
+                    cost.diagonal(),
+                    &self.adjoint,
+                    &self.state,
+                    self.threads,
+                );
             // Undo the phase layer on both states (conjugate table).
             self.load_phase_table(cost.levels(), gammas[k]);
             self.state.apply_phase_levels(
@@ -239,6 +268,17 @@ impl EvalContext {
         }
         energy
     }
+}
+
+/// Spot-checks the half-register precondition `C(z) = C(z̄)` (bitwise, and
+/// the same phase level) on eight evenly spaced indices. At `n = 1` index 0
+/// is paired with index 1, its mirror.
+fn flip_symmetric_sample(cost: &DiagonalObservable) -> bool {
+    let (diag, level_of) = (cost.diagonal(), cost.level_of());
+    let mask = diag.len() - 1;
+    (0..diag.len())
+        .step_by((diag.len() / 8).max(1))
+        .all(|z| diag[z].to_bits() == diag[mask ^ z].to_bits() && level_of[z] == level_of[mask ^ z])
 }
 
 thread_local! {

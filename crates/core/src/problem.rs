@@ -133,6 +133,34 @@ mod tests {
     }
 
     #[test]
+    fn cost_is_flip_symmetric_bitwise() {
+        // `EvalContext` evolves half the register on the strength of
+        // C(z) = C(z̄): the diagonal and its phase levels must agree bitwise
+        // at every index and its complement, weighted or not.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(17);
+        for n in 2..=10 {
+            let unweighted = generators::erdos_renyi_nonempty(n, 0.5, &mut rng);
+            let mut weighted = Graph::new(n);
+            for e in unweighted.edges() {
+                weighted
+                    .add_weighted_edge(e.u, e.v, rng.gen_range(0.1..3.0))
+                    .unwrap();
+            }
+            for g in [unweighted, weighted] {
+                let cost = MaxCutProblem::new(&g).unwrap().cost().clone();
+                let mask = (1usize << n) - 1;
+                for z in 0..=mask {
+                    let (d, l) = (cost.diagonal(), cost.level_of());
+                    assert_eq!(d[z].to_bits(), d[!z & mask].to_bits(), "n={n} z={z}");
+                    assert_eq!(l[z], l[!z & mask], "n={n} z={z}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn weighted_graph_cost() {
         let mut g = Graph::new(2);
         g.add_weighted_edge(0, 1, 3.5).unwrap();

@@ -12,7 +12,9 @@
 //! * [`StateVector`] — `2^n` amplitudes with single/two-qubit gate kernels,
 //! * [`soa::SplitState`] — split re/im (structure-of-arrays) kernels for the
 //!   QAOA evaluation hot path: autovectorizable, cache-blocked, with
-//!   deterministic within-state parallelism,
+//!   deterministic within-state parallelism; [`soa::FlipSymmetricState`]
+//!   runs the same kernels on the stored half of a bit-flip-symmetric
+//!   register (MaxCut's QAOA state), bit-identically,
 //! * [`gates`] — standard gate matrices (H, X, Y, Z, RX, RY, RZ, phase),
 //! * [`Circuit`] / [`Gate`] — a replayable circuit IR,
 //! * [`DiagonalObservable`] — fast diagonal (cost-Hamiltonian) expectations,

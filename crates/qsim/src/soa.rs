@@ -30,6 +30,14 @@
 //! bit-identical to one long sequential sum, which is why the
 //! reduction order is fixed here once and used by every caller.)
 //!
+//! The contract extends to [`FlipSymmetricState`], which stores only
+//! the lower half of a register with `ψ(z) = ψ(z̄)`: its stage kernels
+//! apply the full register's per-amplitude arithmetic to the stored
+//! half, and its **mirrored reductions** visit the full register's
+//! tiles in the full register's order — the mirrored half walked
+//! backward — so energies and gradient sums are bit-identical to the
+//! [`SplitState`] reductions of the full register.
+//!
 //! # Within-state parallelism
 //!
 //! Every kernel takes a `threads` budget. For registers of at least
@@ -41,6 +49,8 @@
 //! combined in index order, the budget never influences results —
 //! only wall-clock time. The budget is typically set per job by
 //! `engine::Pool`'s within-job fan-out (see `Pool::run_ordered_fanout`).
+
+use std::ops::Range;
 
 use crate::{Complex64, StateVector};
 
@@ -175,6 +185,11 @@ impl SplitState {
     pub fn reset_to_plus(&mut self, threads: usize) {
         // lint:allow(no-lossy-as) dim <= 2^63 is exactly representable in f64 for any simulable register
         let amp = 1.0 / (self.dim() as f64).sqrt();
+        self.fill_real(amp, threads);
+    }
+
+    /// Sets every amplitude to the real value `amp`.
+    fn fill_real(&mut self, amp: f64, threads: usize) {
         let threads = self.fanout(threads);
         for_each_tile(&mut self.re, &mut self.im, threads, &|_, re, im| {
             re.fill(amp);
@@ -266,27 +281,21 @@ impl SplitState {
     /// are contiguous, so the pass is pure sequential streams, split
     /// into per-tile work items for the fan-out.
     fn rx_high_pass(&mut self, stride: usize, s: f64, co: f64, threads: usize) {
-        /// One butterfly work item: `(re_lo, im_lo, re_hi, im_hi)`.
-        type Quad<'a> = (&'a mut [f64], &'a mut [f64], &'a mut [f64], &'a mut [f64]);
-        let mut items: Vec<Quad> = Vec::new();
-        for (re_block, im_block) in self
+        let items = self
             .re
             .chunks_mut(2 * stride)
             .zip(self.im.chunks_mut(2 * stride))
-        {
-            let (re_lo, re_hi) = re_block.split_at_mut(stride);
-            let (im_lo, im_hi) = im_block.split_at_mut(stride);
-            for (((rl, il), rh), ih) in re_lo
-                .chunks_mut(TILE)
-                .zip(im_lo.chunks_mut(TILE))
-                .zip(re_hi.chunks_mut(TILE))
-                .zip(im_hi.chunks_mut(TILE))
-            {
-                items.push((rl, il, rh, ih));
-            }
-        }
-        run_items(threads, items, &|(rl, il, rh, ih)| {
-            rx_butterfly(rl, il, rh, ih, s, co);
+            .flat_map(|(re_block, im_block)| {
+                let (re_lo, re_hi) = re_block.split_at_mut(stride);
+                let (im_lo, im_hi) = im_block.split_at_mut(stride);
+                re_lo
+                    .chunks_mut(TILE)
+                    .zip(im_lo.chunks_mut(TILE))
+                    .zip(re_hi.chunks_mut(TILE))
+                    .zip(im_hi.chunks_mut(TILE))
+            });
+        run_items(threads, items, &|(((rl, il), rh), ih)| {
+            rx_butterfly::<false>(rl, il, rh, ih, s, co);
         });
     }
 
@@ -317,10 +326,11 @@ impl SplitState {
         debug_assert_eq!(diag.len(), self.dim());
         reduce_tiles(self.dim(), self.fanout(threads), &|start, len| {
             let end = start + len;
-            dot_norm_tile(
+            dot_norm_tile::<false>(
                 &self.re[start..end],
                 &self.im[start..end],
                 &diag[start..end],
+                0.0,
             )
         })
     }
@@ -344,7 +354,7 @@ pub fn sum_im_cross_x(lambda: &SplitState, psi: &SplitState, threads: usize) -> 
                 let mut base = start;
                 while base < start + len {
                     let (lo, hi) = (base..base + stride, base + stride..base + 2 * stride);
-                    acc += cross_x_tile(
+                    acc += cross_x_tile::<false, false>(
                         &lambda.re[lo.clone()],
                         &lambda.im[lo.clone()],
                         &lambda.re[hi.clone()],
@@ -361,7 +371,7 @@ pub fn sum_im_cross_x(lambda: &SplitState, psi: &SplitState, threads: usize) -> 
                 // (read-only, so crossing tile boundaries is fine).
                 let partner = start ^ stride;
                 let (a, b) = (start..start + len, partner..partner + len);
-                acc += cross_half_tile(
+                acc += cross_half_tile::<false, false>(
                     &lambda.re[a.clone()],
                     &lambda.im[a],
                     &psi.re[b.clone()],
@@ -386,17 +396,331 @@ pub fn sum_diag_im_cross(
     debug_assert_eq!(lambda.dim(), psi.dim());
     reduce_tiles(psi.dim(), psi.fanout(threads), &|start, len| {
         let end = start + len;
-        diag_cross_tile(
+        diag_cross_tile::<false>(
             &diag[start..end],
             &lambda.re[start..end],
             &lambda.im[start..end],
             &psi.re[start..end],
             &psi.im[start..end],
+            0.0,
         )
     })
 }
 
+/// A flip-symmetric `n`-qubit state, stored as its lower half.
+///
+/// A state with `ψ(z) = ψ(z̄)` for every basis index (`z̄ = z ⊕ (2^n − 1)`,
+/// every bit flipped) is fully described by the `2^(n−1)` amplitudes whose
+/// top bit is 0: upper index `2^(n−1) + x` holds half-index
+/// `2^(n−1) − 1 − x`. The QAOA state of any cost with `C(z) = C(z̄)` —
+/// MaxCut's — is such a state at every stage: `|+…+⟩`, the phase layer and
+/// the mixing layer all commute with a global X.
+///
+/// The kernels here evolve only the stored half and are **bit-identical**
+/// to the [`SplitState`] kernels on the full register:
+///
+/// * qubits `0..n−1` run the [`SplitState`] tile kernels on the half, which
+///   are the full register's arithmetic on the lower half (the upper half
+///   would compute the mirrored values with identical operands);
+/// * the top qubit pairs half-index `x` with `2^(n−1) − 1 − x`, the RX
+///   butterfly with its hi block reversed — its `lo`/`hi` roles are
+///   symmetric, so the mirrored pair gets exactly the full butterfly's
+///   values;
+/// * the reductions visit the full register's [`TILE`]s in the full
+///   register's order — lower tiles forward over the half, upper tiles
+///   backward over the mirrored half, within one tile in the same sequence
+///   — and combine the partials in tile order, so every sum adds the same
+///   terms in the same order as its full-register counterpart.
+///
+/// Observables and level tables are passed at full width (`2^n` entries);
+/// the kernels read their lower halves, which for a flip-symmetric cost
+/// carry the whole diagonal.
+///
+/// # Example
+///
+/// ```
+/// use qsim::soa::{FlipSymmetricState, SplitState};
+/// let mut half = FlipSymmetricState::plus_state(3);
+/// half.apply_rx_layer(0.7, 1);
+/// let mut full = SplitState::plus_state(3);
+/// full.apply_rx_layer(0.7, 1);
+/// let mut mirrored = SplitState::plus_state(0);
+/// half.write_full(&mut mirrored);
+/// assert_eq!(mirrored, full);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct FlipSymmetricState {
+    /// Amplitudes `0..2^(n−1)` of the register, an `(n − 1)`-qubit state.
+    half: SplitState,
+}
+
+impl FlipSymmetricState {
+    /// `|+…+⟩` on `n_qubits` qubits (at least 1; 0 is clamped to 1, whose
+    /// single stored amplitude is its own mirror partner).
+    #[must_use]
+    pub fn plus_state(n_qubits: usize) -> Self {
+        let mut state = Self {
+            half: SplitState::plus_state(n_qubits.max(1) - 1),
+        };
+        state.reset_to_plus(1);
+        state
+    }
+
+    /// Number of qubits of the full register.
+    #[must_use]
+    pub fn n_qubits(&self) -> usize {
+        self.half.n_qubits + 1
+    }
+
+    /// Writes the full `2^n`-amplitude register into `out` — the lower half
+    /// copied, the upper half mirrored — resizing `out` only when its width
+    /// differs.
+    pub fn write_full(&self, out: &mut SplitState) {
+        if out.n_qubits != self.n_qubits() {
+            *out = SplitState::plus_state(self.n_qubits());
+        }
+        let h = self.half.dim();
+        for (dst, src) in [(&mut out.re, &self.half.re), (&mut out.im, &self.half.im)] {
+            let (lo, hi) = dst.split_at_mut(h);
+            lo.copy_from_slice(src);
+            for (d, s) in hi.iter_mut().zip(src.iter().rev()) {
+                *d = *s;
+            }
+        }
+    }
+
+    /// Resets to `|+…+⟩` in place; the amplitude is `2^(−n/2)` of the full
+    /// register.
+    pub fn reset_to_plus(&mut self, threads: usize) {
+        // lint:allow(no-lossy-as) dim <= 2^63 is exactly representable in f64 for any simulable register
+        let amp = 1.0 / ((2 * self.half.dim()) as f64).sqrt();
+        self.half.fill_real(amp, threads);
+    }
+
+    /// [`SplitState::apply_phase_levels`] on the full register.
+    pub fn apply_phase_levels(
+        &mut self,
+        level_of: &[u32],
+        table_re: &[f64],
+        table_im: &[f64],
+        threads: usize,
+    ) {
+        let h = self.half.dim();
+        debug_assert_eq!(level_of.len(), 2 * h);
+        self.half
+            .apply_phase_levels(&level_of[..h], table_re, table_im, threads);
+    }
+
+    /// [`SplitState::apply_rx_layer`] on the full register: the half's own
+    /// layer, then the mirrored top-qubit butterfly.
+    pub fn apply_rx_layer(&mut self, theta: f64, threads: usize) {
+        self.half.apply_rx_layer(theta, threads);
+        self.rx_top(theta, threads);
+    }
+
+    /// [`SplitState::apply_phase_rx`] on the full register: the half's own
+    /// fused stage, then the mirrored top-qubit butterfly.
+    pub fn apply_phase_rx(
+        &mut self,
+        level_of: &[u32],
+        table_re: &[f64],
+        table_im: &[f64],
+        theta: f64,
+        threads: usize,
+    ) {
+        let h = self.half.dim();
+        debug_assert_eq!(level_of.len(), 2 * h);
+        self.half
+            .apply_phase_rx(&level_of[..h], table_re, table_im, theta, threads);
+        self.rx_top(theta, threads);
+    }
+
+    /// RX on the top qubit: half-index `x` pairs with `h − 1 − x`, whose
+    /// stored value is the full register's partner `x + h`. The pass walks
+    /// the first quarter forward against the second quarter backward, split
+    /// into per-tile items for the fan-out. At `n = 1` the one stored
+    /// amplitude is its own partner.
+    fn rx_top(&mut self, theta: f64, threads: usize) {
+        let (s, co) = (theta / 2.0).sin_cos();
+        let h = self.half.dim();
+        if h == 1 {
+            let (r, i) = (self.half.re[0], self.half.im[0]);
+            self.half.re[0] = co * r + s * i;
+            self.half.im[0] = co * i - s * r;
+            return;
+        }
+        let threads = self.half.fanout(threads);
+        let (re_lo, re_hi) = self.half.re.split_at_mut(h / 2);
+        let (im_lo, im_hi) = self.half.im.split_at_mut(h / 2);
+        let items = re_lo
+            .chunks_mut(TILE)
+            .zip(im_lo.chunks_mut(TILE))
+            .zip(re_hi.rchunks_mut(TILE))
+            .zip(im_hi.rchunks_mut(TILE));
+        run_items(threads, items, &|(((rl, il), rh), ih)| {
+            rx_butterfly::<true>(rl, il, rh, ih, s, co);
+        });
+    }
+
+    /// [`SplitState::assign_scaled`] on the full register.
+    pub fn assign_scaled(&mut self, src: &Self, diag: &[f64], threads: usize) {
+        let h = self.half.dim();
+        debug_assert_eq!(diag.len(), 2 * h);
+        self.half.assign_scaled(&src.half, &diag[..h], threads);
+    }
+
+    /// The half-register ranges a full-register tile `[start, start + len)`
+    /// reads: its lower part, walked forward, and the mirror image of its
+    /// upper part, walked backward. One of them is empty unless the tile is
+    /// the whole register (`2^n <= TILE`).
+    fn mirror_split(&self, start: usize, len: usize) -> (Range<usize>, Range<usize>) {
+        let (h, end) = (self.half.dim(), start + len);
+        let dim = 2 * h;
+        (
+            start.min(h)..end.min(h),
+            dim - end.max(h)..dim - start.max(h),
+        )
+    }
+
+    /// [`SplitState::expectation_diag`] of the full register, bit for bit.
+    #[must_use]
+    pub fn expectation_diag(&self, diag: &[f64], threads: usize) -> f64 {
+        let h = self.half.dim();
+        debug_assert_eq!(diag.len(), 2 * h);
+        let (re, im) = (&self.half.re, &self.half.im);
+        reduce_tiles(2 * h, self.half.fanout(threads), &|start, len| {
+            let (fwd, mir) = self.mirror_split(start, len);
+            let acc = dot_norm_tile::<false>(&re[fwd.clone()], &im[fwd.clone()], &diag[fwd], 0.0);
+            dot_norm_tile::<true>(&re[mir.clone()], &im[mir.clone()], &diag[mir], acc)
+        })
+    }
+
+    /// [`sum_diag_im_cross`] of the full registers, bit for bit.
+    #[must_use]
+    pub fn sum_diag_im_cross(diag: &[f64], lambda: &Self, psi: &Self, threads: usize) -> f64 {
+        let h = psi.half.dim();
+        debug_assert_eq!(diag.len(), 2 * h);
+        debug_assert_eq!(lambda.half.dim(), h);
+        let (l, p) = (&lambda.half, &psi.half);
+        reduce_tiles(2 * h, p.fanout(threads), &|start, len| {
+            let (fwd, mir) = psi.mirror_split(start, len);
+            let acc = diag_cross_tile::<false>(
+                &diag[fwd.clone()],
+                &l.re[fwd.clone()],
+                &l.im[fwd.clone()],
+                &p.re[fwd.clone()],
+                &p.im[fwd],
+                0.0,
+            );
+            diag_cross_tile::<true>(
+                &diag[mir.clone()],
+                &l.re[mir.clone()],
+                &l.im[mir.clone()],
+                &p.re[mir.clone()],
+                &p.im[mir],
+                acc,
+            )
+        })
+    }
+
+    /// [`sum_im_cross_x`] of the full registers, bit for bit: per tile,
+    /// qubits in order; for each, the tile's butterfly blocks in
+    /// full-register order (lower blocks forward, upper blocks as mirrored
+    /// blocks in descending order, each walked backward), or its partner
+    /// block in another tile; the top qubit last, pairing every index with
+    /// its mirror.
+    #[must_use]
+    pub fn sum_im_cross_x(lambda: &Self, psi: &Self, threads: usize) -> f64 {
+        let h = psi.half.dim();
+        debug_assert_eq!(lambda.half.dim(), h);
+        let (l, p) = (&lambda.half, &psi.half);
+        let block = |lo: Range<usize>, hi: Range<usize>| {
+            (
+                (
+                    &l.re[lo.clone()],
+                    &l.im[lo.clone()],
+                    &p.re[lo.clone()],
+                    &p.im[lo],
+                ),
+                (
+                    &l.re[hi.clone()],
+                    &l.im[hi.clone()],
+                    &p.re[hi.clone()],
+                    &p.im[hi],
+                ),
+            )
+        };
+        reduce_tiles(2 * h, p.fanout(threads), &|start, len| {
+            let (fwd, mir) = psi.mirror_split(start, len);
+            let mut acc = 0.0;
+            for qubit in 0..psi.half.n_qubits {
+                let stride = 1usize << qubit;
+                if stride < len {
+                    for base in fwd.clone().step_by(2 * stride) {
+                        let ((llr, lli, slr, sli), (lhr, lhi, shr, shi)) =
+                            block(base..base + stride, base + stride..base + 2 * stride);
+                        acc += cross_x_tile::<false, false>(llr, lli, lhr, lhi, slr, sli, shr, shi);
+                    }
+                    // Upper block at full base `b` is the mirrored block
+                    // `[B, B + 2·stride)`, `B = 2^n − b − 2·stride`, its
+                    // lo and hi halves swapped and reversed.
+                    for base in mir.clone().step_by(2 * stride).rev() {
+                        let ((llr, lli, slr, sli), (lhr, lhi, shr, shi)) =
+                            block(base + stride..base + 2 * stride, base..base + stride);
+                        acc += cross_x_tile::<true, true>(llr, lli, lhr, lhi, slr, sli, shr, shi);
+                    }
+                } else if fwd.is_empty() {
+                    // Upper tile: the partner tile is upper too, mirrored
+                    // to `B ⊕ stride`.
+                    let b = mir.start ^ stride;
+                    let ((lr, li, _, _), (_, _, sr, si)) = block(mir.clone(), b..b + len);
+                    acc += cross_half_tile::<true, true>(lr, li, sr, si);
+                } else {
+                    let b = fwd.start ^ stride;
+                    let ((lr, li, _, _), (_, _, sr, si)) = block(fwd.clone(), b..b + len);
+                    acc += cross_half_tile::<false, false>(lr, li, sr, si);
+                }
+            }
+            // The top qubit (stride h): index z pairs with z ± h, stored
+            // at the mirror of z.
+            if h < len {
+                // Whole register in one tile: one block, lo = the half
+                // forward, hi = the mirrored half.
+                let ((llr, lli, slr, sli), (lhr, lhi, shr, shi)) = block(0..h, 0..h);
+                acc += cross_x_tile::<false, true>(llr, lli, lhr, lhi, slr, sli, shr, shi);
+            } else if fwd.is_empty() {
+                // Upper tile against its lower partner `start − h`.
+                let b = start - h;
+                let ((lr, li, _, _), (_, _, sr, si)) = block(mir.clone(), b..b + len);
+                acc += cross_half_tile::<true, false>(lr, li, sr, si);
+            } else {
+                // Lower tile against its upper partner, stored mirrored.
+                let b = h - fwd.end;
+                let ((lr, li, _, _), (_, _, sr, si)) = block(fwd.clone(), b..b + len);
+                acc += cross_half_tile::<false, true>(lr, li, sr, si);
+            }
+            acc
+        })
+    }
+}
+
 // --- tile-level kernels (straight-line, autovectorizable) -----------------
+//
+// Kernels that walk an operand in either direction take it as a `REV`
+// const parameter: `at::<true>` visits a block back to front, so the
+// mirrored half of a flip-symmetric register is read in full-register
+// order without a per-element branch.
+
+/// Position of the `k`-th visited element of an `n`-long block walked
+/// forward (`REV = false`) or backward (`REV = true`).
+#[inline(always)]
+fn at<const REV: bool>(k: usize, n: usize) -> usize {
+    if REV {
+        n - 1 - k
+    } else {
+        k
+    }
+}
 
 /// Phase separation on one tile: `a *= table[level]` with the complex
 /// product expanded exactly as `Complex64::mul` computes it.
@@ -429,32 +753,41 @@ fn scale_tile(re: &mut [f64], im: &mut [f64], src_re: &[f64], src_im: &[f64], di
     }
 }
 
-/// `Σ (re² + im²)·d` over one tile, sequential in index order.
-fn dot_norm_tile(re: &[f64], im: &[f64], diag: &[f64]) -> f64 {
+/// `acc + Σ (re² + im²)·d` over one block, sequential in visit order.
+fn dot_norm_tile<const REV: bool>(re: &[f64], im: &[f64], diag: &[f64], mut acc: f64) -> f64 {
     let n = re.len();
     let (im, diag) = (&im[..n], &diag[..n]);
-    let mut acc = 0.0;
     for k in 0..n {
-        acc += (re[k] * re[k] + im[k] * im[k]) * diag[k];
+        let j = at::<REV>(k, n);
+        acc += (re[j] * re[j] + im[j] * im[j]) * diag[j];
     }
     acc
 }
 
-/// `Σ d·(λre·ψim − λim·ψre)` over one tile.
-fn diag_cross_tile(diag: &[f64], lre: &[f64], lim: &[f64], sre: &[f64], sim: &[f64]) -> f64 {
+/// `acc + Σ d·(λre·ψim − λim·ψre)` over one block, in visit order.
+fn diag_cross_tile<const REV: bool>(
+    diag: &[f64],
+    lre: &[f64],
+    lim: &[f64],
+    sre: &[f64],
+    sim: &[f64],
+    mut acc: f64,
+) -> f64 {
     let n = diag.len();
     let (lre, lim, sre, sim) = (&lre[..n], &lim[..n], &sre[..n], &sim[..n]);
-    let mut acc = 0.0;
     for k in 0..n {
-        acc += diag[k] * (lre[k] * sim[k] - lim[k] * sre[k]);
+        let j = at::<REV>(k, n);
+        acc += diag[j] * (lre[j] * sim[j] - lim[j] * sre[j]);
     }
     acc
 }
 
-/// The RX butterfly over two equal-length contiguous blocks, with the
-/// exact arithmetic of the scalar reference:
-/// `a0' = c·a0 − i·s·a1`, `a1' = c·a1 − i·s·a0`, expanded.
-fn rx_butterfly(
+/// The RX butterfly over two equal-length blocks, with the exact
+/// arithmetic of the scalar reference:
+/// `a0' = c·a0 − i·s·a1`, `a1' = c·a1 − i·s·a0`, expanded. With
+/// `HI_REV`, `lo[k]` pairs with `hi[len − 1 − k]` (the mirrored top-qubit
+/// butterfly of [`FlipSymmetricState`]).
+fn rx_butterfly<const HI_REV: bool>(
     lo_re: &mut [f64],
     lo_im: &mut [f64],
     hi_re: &mut [f64],
@@ -465,11 +798,12 @@ fn rx_butterfly(
     let n = lo_re.len();
     let (lo_im, hi_re, hi_im) = (&mut lo_im[..n], &mut hi_re[..n], &mut hi_im[..n]);
     for k in 0..n {
-        let (r0, i0, r1, i1) = (lo_re[k], lo_im[k], hi_re[k], hi_im[k]);
+        let j = at::<HI_REV>(k, n);
+        let (r0, i0, r1, i1) = (lo_re[k], lo_im[k], hi_re[j], hi_im[j]);
         lo_re[k] = co * r0 + s * i1;
         lo_im[k] = co * i0 - s * r1;
-        hi_re[k] = co * r1 + s * i0;
-        hi_im[k] = co * i1 - s * r0;
+        hi_re[j] = co * r1 + s * i0;
+        hi_im[j] = co * i1 - s * r0;
     }
 }
 
@@ -499,15 +833,16 @@ fn rx_tile(re: &mut [f64], im: &mut [f64], n_low: usize, s: f64, co: f64) {
         for (re_block, im_block) in re.chunks_mut(2 * stride).zip(im.chunks_mut(2 * stride)) {
             let (re_lo, re_hi) = re_block.split_at_mut(stride);
             let (im_lo, im_hi) = im_block.split_at_mut(stride);
-            rx_butterfly(re_lo, im_lo, re_hi, im_hi, s, co);
+            rx_butterfly::<false>(re_lo, im_lo, re_hi, im_hi, s, co);
         }
     }
 }
 
-/// Both cross terms of one in-tile butterfly block:
-/// `Σ_k Im(λ̄_lo ψ_hi) + Im(λ̄_hi ψ_lo)`.
+/// Both cross terms of one butterfly block:
+/// `Σ_k Im(λ̄_lo ψ_hi) + Im(λ̄_hi ψ_lo)`, the `lo` and `hi` blocks each
+/// walked in their own direction.
 #[allow(clippy::too_many_arguments)]
-fn cross_x_tile(
+fn cross_x_tile<const LO_REV: bool, const HI_REV: bool>(
     l_lo_re: &[f64],
     l_lo_im: &[f64],
     l_hi_re: &[f64],
@@ -523,20 +858,28 @@ fn cross_x_tile(
         (&s_lo_re[..n], &s_lo_im[..n], &s_hi_re[..n], &s_hi_im[..n]);
     let mut acc = 0.0;
     for k in 0..n {
-        acc += l_lo_re[k] * s_hi_im[k] - l_lo_im[k] * s_hi_re[k] + l_hi_re[k] * s_lo_im[k]
-            - l_hi_im[k] * s_lo_re[k];
+        let (a, b) = (at::<LO_REV>(k, n), at::<HI_REV>(k, n));
+        acc += l_lo_re[a] * s_hi_im[b] - l_lo_im[a] * s_hi_re[b] + l_hi_re[b] * s_lo_im[a]
+            - l_hi_im[b] * s_lo_re[a];
     }
     acc
 }
 
 /// One direction of the cross term when the partner block lives in
-/// another tile: `Σ_k Im(λ̄_a ψ_b)`.
-fn cross_half_tile(l_re: &[f64], l_im: &[f64], s_re: &[f64], s_im: &[f64]) -> f64 {
+/// another tile: `Σ_k Im(λ̄_a ψ_b)`, each block walked in its own
+/// direction.
+fn cross_half_tile<const L_REV: bool, const S_REV: bool>(
+    l_re: &[f64],
+    l_im: &[f64],
+    s_re: &[f64],
+    s_im: &[f64],
+) -> f64 {
     let n = l_re.len();
     let (l_im, s_re, s_im) = (&l_im[..n], &s_re[..n], &s_im[..n]);
     let mut acc = 0.0;
     for k in 0..n {
-        acc += l_re[k] * s_im[k] - l_im[k] * s_re[k];
+        let (a, b) = (at::<L_REV>(k, n), at::<S_REV>(k, n));
+        acc += l_re[a] * s_im[b] - l_im[a] * s_re[b];
     }
     acc
 }
@@ -544,16 +887,20 @@ fn cross_half_tile(l_re: &[f64], l_im: &[f64], s_re: &[f64], s_im: &[f64]) -> f6
 // --- deterministic fan-out ------------------------------------------------
 
 /// Runs `f` once per work item, item `i` on scoped worker `i % workers`
-/// (one share runs on the calling thread). With a budget of 1 — or a
-/// single item — everything runs inline in item order. Items own their
-/// data (disjoint `&mut` slices or partial-sum slots), so distribution
-/// can never influence results, only wall-clock time.
-fn run_items<T: Send, F: Fn(T) + Sync>(threads: usize, items: Vec<T>, f: &F) {
-    let workers = threads.clamp(1, items.len().max(1));
-    if workers == 1 {
-        for item in items {
-            f(item);
-        }
+/// (one share runs on the calling thread). With a budget of 1 everything
+/// runs inline in item order, straight off the iterator — the hot path
+/// below [`PAR_MIN_DIM`] allocates nothing. Items own their data
+/// (disjoint `&mut` slices or partial-sum slots), so distribution can
+/// never influence results, only wall-clock time.
+fn run_items<T: Send, F: Fn(T) + Sync>(threads: usize, items: impl Iterator<Item = T>, f: &F) {
+    if threads <= 1 {
+        items.for_each(f);
+        return;
+    }
+    let items: Vec<T> = items.collect();
+    let workers = threads.min(items.len());
+    if workers <= 1 {
+        items.into_iter().for_each(f);
         return;
     }
     let mut buckets: Vec<Vec<T>> = Vec::new();
@@ -583,29 +930,34 @@ fn for_each_tile<F>(re: &mut [f64], im: &mut [f64], threads: usize, f: &F)
 where
     F: Fn(usize, &mut [f64], &mut [f64]) + Sync,
 {
-    let items: Vec<(usize, &mut [f64], &mut [f64])> = re
+    let items = re
         .chunks_mut(TILE)
         .zip(im.chunks_mut(TILE))
         .enumerate()
-        .map(|(c, (r, i))| (c * TILE, r, i))
-        .collect();
+        .map(|(c, (r, i))| (c * TILE, r, i));
     run_items(threads, items, &|(start, r, i)| f(start, r, i));
 }
 
 /// Tiled deterministic reduction: `f(tile_start, tile_len)` produces
 /// one partial per [`TILE`], computed on any worker but **combined in
 /// tile-index order** — the reduction order is a pure function of
-/// `dim`, never of the thread budget.
+/// `dim`, never of the thread budget. A single worker folds the partials
+/// as it goes, without a partials buffer.
 fn reduce_tiles<F>(dim: usize, threads: usize, f: &F) -> f64
 where
     F: Fn(usize, usize) -> f64 + Sync,
 {
     let n_tiles = dim.div_ceil(TILE);
-    let mut partials = vec![0.0f64; n_tiles];
-    let items: Vec<(usize, &mut f64)> = partials.iter_mut().enumerate().collect();
-    run_items(threads, items, &|(c, slot)| {
+    let tile = |c: usize| {
         let start = c * TILE;
-        *slot = f(start, TILE.min(dim - start));
+        f(start, TILE.min(dim - start))
+    };
+    if threads <= 1 || n_tiles <= 1 {
+        return (0..n_tiles).fold(0.0, |acc, c| acc + tile(c));
+    }
+    let mut partials = vec![0.0f64; n_tiles];
+    run_items(threads, partials.iter_mut().enumerate(), &|(c, slot)| {
+        *slot = tile(c);
     });
     partials.iter().fold(0.0, |acc, p| acc + p)
 }
@@ -725,6 +1077,60 @@ mod tests {
             sum_diag_im_cross(&diag, &la, &a, 1).to_bits(),
             sum_diag_im_cross(&diag, &lb, &b, 4).to_bits()
         );
+    }
+
+    #[test]
+    fn flip_symmetric_kernels_match_full_register() {
+        // A flip-symmetric cost (weighted ring: bit i vs bit i+1 mod n).
+        // Widths cover n = 1 (self-paired), sub-tile, the tile boundary and
+        // TILE_BITS + 2, whose upper tiles pair with mirrored upper tiles.
+        for n in [1usize, 2, 3, 6, TILE_BITS, TILE_BITS + 1, TILE_BITS + 2] {
+            let cut = |z: usize| -> f64 {
+                (0..n)
+                    .filter(|&i| (z >> i) & 1 != (z >> ((i + 1) % n)) & 1)
+                    .map(|i| 1.0 + 0.25 * i as f64)
+                    .sum()
+            };
+            let obs = crate::DiagonalObservable::from_fn(n, cut);
+            let (diag, level_of) = (obs.diagonal(), obs.level_of());
+            let (_, tre, tim) = phase_table(obs.levels(), 0.8);
+            for threads in [1, 4] {
+                let mut full = SplitState::plus_state(n);
+                let mut half = FlipSymmetricState::plus_state(n);
+                full.apply_phase_rx(level_of, &tre, &tim, 1.3, threads);
+                half.apply_phase_rx(level_of, &tre, &tim, 1.3, threads);
+                let mut full_l = SplitState::plus_state(n);
+                let mut half_l = FlipSymmetricState::plus_state(n);
+                full_l.assign_scaled(&full, diag, threads);
+                half_l.assign_scaled(&half, diag, threads);
+                full_l.apply_rx_layer(-0.4, threads);
+                half_l.apply_rx_layer(-0.4, threads);
+                full_l.apply_phase_levels(level_of, &tre, &tim, threads);
+                half_l.apply_phase_levels(level_of, &tre, &tim, threads);
+                let mut mirrored = SplitState::plus_state(0);
+                half.write_full(&mut mirrored);
+                assert_eq!(mirrored, full, "n={n}: state");
+                half_l.write_full(&mut mirrored);
+                assert_eq!(mirrored, full_l, "n={n}: costate");
+                let pairs = [
+                    (
+                        full.expectation_diag(diag, threads),
+                        half.expectation_diag(diag, threads),
+                    ),
+                    (
+                        sum_diag_im_cross(diag, &full_l, &full, threads),
+                        FlipSymmetricState::sum_diag_im_cross(diag, &half_l, &half, threads),
+                    ),
+                    (
+                        sum_im_cross_x(&full_l, &full, threads),
+                        FlipSymmetricState::sum_im_cross_x(&half_l, &half, threads),
+                    ),
+                ];
+                for (k, (f, h)) in pairs.into_iter().enumerate() {
+                    assert_eq!(f.to_bits(), h.to_bits(), "n={n} reduction {k}: {f} vs {h}");
+                }
+            }
+        }
     }
 
     #[test]
