@@ -5,11 +5,11 @@
 //! coordinator loop — dispatch, streaming merge, graceful close — against
 //! freshly started workers:
 //!
-//! * `shard_loopback` — in-process workers over channel pipes (transport
-//!   cost ≈ zero; measures the coordinator + solve),
+//! * `shard_loopback` — in-process worker threads over OS pipes (no
+//!   process startup; measures the coordinator, pipe framing + solve),
 //! * `shard_subprocess` — spawned `qaoa-serve` processes over stdin/stdout
-//!   (adds process startup and pipe framing; the gap to loopback is the
-//!   real cost of process isolation).
+//!   (adds process startup; the gap to loopback is the real cost of
+//!   process isolation).
 //!
 //! Run: `cargo bench -p bench --bench shard_scaling`
 

@@ -7,7 +7,7 @@
 //! re-tasked onto the survivors. `--workers` picks how the workers run:
 //!
 //! * `loopback:K` (default `loopback:1`) — K in-process `qaoa-serve` loops
-//!   over channel pipes, sharing one depth-1 cache.
+//!   over OS pipes, sharing one depth-1 cache.
 //! * `spawn:K` — K spawned worker subprocesses (`--worker-cmd`, default
 //!   the `qaoa-serve` binary next to this executable) speaking `QW1` over
 //!   stdin/stdout.
@@ -34,7 +34,7 @@ use std::time::Duration;
 use bench::{RunConfig, WorkerMode};
 use engine::shard::{ShardPlan, ShardReport, StreamOptions};
 use engine::{
-    persist, KillAfter, Level1Cache, LoopbackTransport, ShardTransport, SubprocessTransport,
+    persist, Fault, FaultAfter, Level1Cache, LoopbackTransport, ShardTransport, SubprocessTransport,
 };
 use qaoa::datagen::{self, DataGenConfig};
 
@@ -49,12 +49,17 @@ fn main() {
 fn run(config: &RunConfig) -> Result<(), String> {
     let spec = config.datagen();
     let plan = ShardPlan::split_even(config.graphs, config.shards);
-    let mode = match config.workers {
-        WorkerMode::Loopback(k) => format!("{k} loopback worker(s)"),
-        WorkerMode::Spawn(k) => format!("{k} spawned worker(s)"),
+    let (mode, workers) = match config.workers {
+        WorkerMode::Loopback(k) => ("loopback", k),
+        WorkerMode::Spawn(k) => ("spawned", k),
     };
+    if let Some(victim) = config.kill_worker.filter(|&victim| victim >= workers) {
+        return Err(format!(
+            "--kill-worker {victim}: no such worker (--workers runs workers 0..{workers})"
+        ));
+    }
     eprintln!(
-        "# qaoa-shard: {} graphs x depths 1..={} over {} shards, {mode}, {} threads/worker",
+        "# qaoa-shard: {} graphs x depths 1..={} over {} shards, {workers} {mode} worker(s), {} threads/worker",
         config.graphs,
         config.max_depth,
         plan.shards(),
@@ -182,7 +187,7 @@ fn worker_command(config: &RunConfig) -> Result<Vec<String>, String> {
 /// Runs the streaming coordinator over `transport`, writing the merged
 /// corpus TSV to `--out` (or stdout) one record at a time — the writer
 /// never holds the record set. Wraps the transport in a
-/// [`KillAfter`] fault injector when `--kill-worker` asks for one.
+/// [`FaultAfter`] fault injector when `--kill-worker` asks for one.
 fn stream_corpus<T: ShardTransport>(
     config: &RunConfig,
     spec: &DataGenConfig,
@@ -192,7 +197,8 @@ fn stream_corpus<T: ShardTransport>(
     match config.kill_worker {
         Some(victim) => {
             eprintln!("# fault injection: killing worker {victim} after its first line");
-            stream_corpus_inner(config, spec, plan, KillAfter::new(transport, victim, 1))
+            let transport = FaultAfter::new(transport, victim, 1, Fault::Kill);
+            stream_corpus_inner(config, spec, plan, transport)
         }
         None => stream_corpus_inner(config, spec, plan, transport),
     }

@@ -24,9 +24,9 @@ pub mod cli;
 /// How `qaoa-shard` runs its shard workers (`--workers`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerMode {
-    /// K in-process `qaoa-serve` loops over channel pipes sharing one
-    /// depth-1 cache — the streaming coordinator's reference transport
-    /// (default: one worker).
+    /// K in-process `qaoa-serve` loops over OS pipes sharing one depth-1
+    /// cache — the streaming coordinator's reference transport (default:
+    /// one worker).
     Loopback(usize),
     /// K spawned worker subprocesses (`--worker-cmd`, default `qaoa-serve`)
     /// over stdin/stdout.

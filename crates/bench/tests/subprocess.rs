@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use bench::RunConfig;
 use engine::shard::{self, ShardPlan, StreamOptions};
-use engine::{wire, Engine, KillAfter, ShardTransport, SubprocessTransport};
+use engine::{wire, Engine, Fault, FaultAfter, ShardTransport, SubprocessTransport};
 use qaoa::datagen::{DataGenConfig, ParameterDataset};
 
 /// A corpus spec small enough that even debug-build workers answer in
@@ -92,7 +92,7 @@ fn killed_subprocess_worker_still_matches() {
     let plan = ShardPlan::split_even(config.n_graphs, 3);
     let cmd = serve_cmd(&["--threads", "1", "--seed", "77"]);
     let inner = SubprocessTransport::spawn(&cmd, 2).expect("spawning qaoa-serve workers");
-    let mut transport = KillAfter::new(inner, 0, 1);
+    let mut transport = FaultAfter::new(inner, 0, 1, Fault::Kill);
     let (merged, report) =
         shard::run_wire(&config, &plan, &mut transport, &StreamOptions::default())
             .expect("failover over subprocesses");
@@ -102,6 +102,33 @@ fn killed_subprocess_worker_still_matches() {
     );
     assert!(report.retasked >= 1, "its range must be re-tasked");
     assert_bit_identical(&unsharded, &merged, "kill-one-subprocess run");
+}
+
+#[test]
+fn half_written_line_from_a_dying_worker_is_retasked() {
+    // Worker 0 takes its SHARD and RANGE lines, writes half a RECORD line
+    // with no newline, and exits: the unterminated tail is not a line, so
+    // the coordinator must see a dead worker and re-task its range onto
+    // the real `qaoa-serve` worker, not fail the run on a torn record.
+    let config = spec(5);
+    let unsharded = reference(&config);
+    let plan = ShardPlan::split_even(config.n_graphs, 2);
+    let dying = [
+        "sh",
+        "-c",
+        "read a; read b; printf 'QW1 RECORD 0 1 3ff'; exit 1",
+    ];
+    let commands = vec![
+        dying.iter().map(ToString::to_string).collect(),
+        serve_cmd(&["--threads", "1", "--seed", "77"]),
+    ];
+    let mut transport = SubprocessTransport::spawn_each(&commands).expect("spawning workers");
+    let (merged, report) =
+        shard::run_wire(&config, &plan, &mut transport, &StreamOptions::default())
+            .expect("a torn last line is worker death, not a protocol error");
+    assert_eq!(report.lost_workers, 1);
+    assert_eq!(report.retasked, 1);
+    assert_bit_identical(&unsharded, &merged, "half-line worker run");
 }
 
 #[test]
@@ -230,4 +257,28 @@ fn qaoa_shard_cli_matches_the_unsharded_corpus_tsv() {
         spawned, expected,
         "spawn-mode stdout TSV differs from engine::corpus"
     );
+}
+
+#[test]
+fn qaoa_shard_rejects_a_kill_worker_it_does_not_run() {
+    // `--kill-worker 5` with two workers would kill nothing; the CLI must
+    // refuse it before any worker starts.
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_qaoa-shard"))
+        .args([
+            "--quick",
+            "--graphs",
+            "4",
+            "--nodes",
+            "4",
+            "--max-depth",
+            "1",
+        ])
+        .args(["--workers", "loopback:2", "--kill-worker", "5"])
+        .output()
+        .expect("qaoa-shard runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("--kill-worker 5"), "stderr: {stderr}");
+    assert!(!stderr.contains("# qaoa-shard:"), "a run started: {stderr}");
+    assert!(output.stdout.is_empty(), "a corpus was written");
 }

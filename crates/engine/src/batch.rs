@@ -269,43 +269,41 @@ impl Engine {
     ) -> Result<(Vec<InstanceOutcome>, BatchReport), QaoaError> {
         let batch_start = Instant::now();
         let results: Vec<Result<(InstanceOutcome, JobStats), QaoaError>> =
-            self.pool.run_ordered_fanout(jobs.len(), |i, inner| {
-                qaoa::eval::with_within_state_threads(inner, || {
-                    let job = &jobs[i];
-                    let start = Instant::now();
-                    let (outcome, cache_hit) = if job.depth == 1 && config.scenario.is_exact() {
-                        self.level1_cached(&job.graph, optimizer, job.restarts, config)?
-                    } else {
-                        // Uncached path: depth >= 2, or any non-exact
-                        // scenario (including depth-1 — the cache stores
-                        // exact optima only). The job seed drives both the
-                        // multistart RNG and the scenario's internal
-                        // stochasticity, keeping outcomes pure functions of
-                        // the queue at any worker count.
-                        let problem = MaxCutProblem::new(&job.graph)?;
-                        let job_seed = seed::mix(
-                            config.master_seed,
-                            &[seed::domain_hash("batch"), job.stable_key(i)],
-                        );
-                        let instance =
-                            ScenarioInstance::new(problem, job.depth, &config.scenario, job_seed)?;
-                        let mut rng = StdRng::seed_from_u64(job_seed);
-                        let outcome = instance.optimize_multistart(
-                            optimizer,
-                            job.restarts,
-                            &mut rng,
-                            &config.options,
-                        )?;
-                        (outcome, false)
-                    };
-                    let stats = JobStats {
-                        wall: start.elapsed(),
-                        function_calls: outcome.function_calls,
-                        gradient_calls: outcome.gradient_calls,
-                        cache_hit,
-                    };
-                    Ok((outcome, stats))
-                })
+            self.pool.run_ordered_fanout(jobs.len(), |i| {
+                let job = &jobs[i];
+                let start = Instant::now();
+                let (outcome, cache_hit) = if job.depth == 1 && config.scenario.is_exact() {
+                    self.level1_cached(&job.graph, optimizer, job.restarts, config)?
+                } else {
+                    // Uncached path: depth >= 2, or any non-exact
+                    // scenario (including depth-1 — the cache stores
+                    // exact optima only). The job seed drives both the
+                    // multistart RNG and the scenario's internal
+                    // stochasticity, keeping outcomes pure functions of
+                    // the queue at any worker count.
+                    let problem = MaxCutProblem::new(&job.graph)?;
+                    let job_seed = seed::mix(
+                        config.master_seed,
+                        &[seed::domain_hash("batch"), job.stable_key(i)],
+                    );
+                    let instance =
+                        ScenarioInstance::new(problem, job.depth, &config.scenario, job_seed)?;
+                    let mut rng = StdRng::seed_from_u64(job_seed);
+                    let outcome = instance.optimize_multistart(
+                        optimizer,
+                        job.restarts,
+                        &mut rng,
+                        &config.options,
+                    )?;
+                    (outcome, false)
+                };
+                let stats = JobStats {
+                    wall: start.elapsed(),
+                    function_calls: outcome.function_calls,
+                    gradient_calls: outcome.gradient_calls,
+                    cache_hit,
+                };
+                Ok((outcome, stats))
             });
 
         let mut outcomes = Vec::with_capacity(jobs.len());
@@ -365,50 +363,48 @@ impl Engine {
             options: config.options,
         };
         let results: Vec<Result<(TwoLevelOutcome, JobStats), QaoaError>> =
-            self.pool.run_ordered_fanout(graphs.len(), |i, inner| {
-                qaoa::eval::with_within_state_threads(inner, || {
-                    let start = Instant::now();
-                    let problem = MaxCutProblem::new(&graphs[i])?;
-                    let flow = TwoLevelFlow::new(predictor);
-                    let (outcome, cache_hit) = if config.scenario.is_exact() {
-                        let (level1, cache_hit) =
-                            self.level1_cached(&graphs[i], optimizer, level1_starts, config)?;
-                        let outcome = flow.run_with_level1(
-                            &problem,
-                            target_depth,
-                            optimizer,
-                            &flow_config,
-                            &level1,
-                        )?;
-                        (outcome, cache_hit)
-                    } else {
-                        // Non-exact scenarios skip the cache (exact-optimum
-                        // entries) and run the full two-level flow under the
-                        // scenario, seeded per graph index.
-                        let graph_seed = seed::mix(
-                            config.master_seed,
-                            &[seed::domain_hash("two-level-scenario"), seed::wide(i)],
-                        );
-                        let mut rng = StdRng::seed_from_u64(graph_seed);
-                        let outcome = flow.run_scenario(
-                            &problem,
-                            target_depth,
-                            optimizer,
-                            &flow_config,
-                            &mut rng,
-                            &config.scenario,
-                            graph_seed,
-                        )?;
-                        (outcome, false)
-                    };
-                    let stats = JobStats {
-                        wall: start.elapsed(),
-                        function_calls: outcome.total_calls(),
-                        gradient_calls: outcome.gradient_calls,
-                        cache_hit,
-                    };
-                    Ok((outcome, stats))
-                })
+            self.pool.run_ordered_fanout(graphs.len(), |i| {
+                let start = Instant::now();
+                let problem = MaxCutProblem::new(&graphs[i])?;
+                let flow = TwoLevelFlow::new(predictor);
+                let (outcome, cache_hit) = if config.scenario.is_exact() {
+                    let (level1, cache_hit) =
+                        self.level1_cached(&graphs[i], optimizer, level1_starts, config)?;
+                    let outcome = flow.run_with_level1(
+                        &problem,
+                        target_depth,
+                        optimizer,
+                        &flow_config,
+                        &level1,
+                    )?;
+                    (outcome, cache_hit)
+                } else {
+                    // Non-exact scenarios skip the cache (exact-optimum
+                    // entries) and run the full two-level flow under the
+                    // scenario, seeded per graph index.
+                    let graph_seed = seed::mix(
+                        config.master_seed,
+                        &[seed::domain_hash("two-level-scenario"), seed::wide(i)],
+                    );
+                    let mut rng = StdRng::seed_from_u64(graph_seed);
+                    let outcome = flow.run_scenario(
+                        &problem,
+                        target_depth,
+                        optimizer,
+                        &flow_config,
+                        &mut rng,
+                        &config.scenario,
+                        graph_seed,
+                    )?;
+                    (outcome, false)
+                };
+                let stats = JobStats {
+                    wall: start.elapsed(),
+                    function_calls: outcome.total_calls(),
+                    gradient_calls: outcome.gradient_calls,
+                    cache_hit,
+                };
+                Ok((outcome, stats))
             });
 
         let mut outcomes = Vec::with_capacity(graphs.len());

@@ -137,20 +137,17 @@ pub fn solve_range(
     };
     let optimizer = Lbfgsb::default();
 
-    let per_graph: Vec<Result<(Vec<OptimalRecord>, usize), QaoaError>> = engine
-        .pool()
-        .run_ordered_fanout(range.len(), |offset, inner| {
-            qaoa::eval::with_within_state_threads(inner, || {
-                let graph_id = range.start + offset;
-                solve_graph(
-                    &graphs[graph_id],
-                    graph_id,
-                    config,
-                    engine,
-                    &optimizer,
-                    &batch_config,
-                )
-            })
+    let per_graph: Vec<Result<(Vec<OptimalRecord>, usize), QaoaError>> =
+        engine.pool().run_ordered_fanout(range.len(), |offset| {
+            let graph_id = range.start + offset;
+            solve_graph(
+                &graphs[graph_id],
+                graph_id,
+                config,
+                engine,
+                &optimizer,
+                &batch_config,
+            )
         });
 
     let mut records = Vec::with_capacity(range.len() * config.max_depth);

@@ -36,11 +36,12 @@
 //!   binary), merging records in global graph-index order with bounded
 //!   buffering and re-tasking the ranges of dead or timed-out workers —
 //!   output **bit-identical** to the unsharded run,
-//! * [`transport`] — the [`ShardTransport`] trait the coordinator drives:
-//!   in-process [`transport::LoopbackTransport`] workers (the reference
-//!   implementation), spawned `qaoa-serve` processes
-//!   ([`transport::SubprocessTransport`]), and fault injectors for the
-//!   failover test-suite.
+//! * [`transport`] — the [`ShardTransport`] trait the coordinator drives,
+//!   and one worker pipe behind both of its transports: in-process
+//!   [`transport::LoopbackTransport`] workers (the reference
+//!   implementation) and spawned `qaoa-serve` processes
+//!   ([`transport::SubprocessTransport`]), plus the
+//!   [`transport::FaultAfter`] fault injector for the failover test-suite.
 //!
 //! # Quickstart
 //!
@@ -99,7 +100,7 @@ pub use pool::Pool;
 pub use server::ServeSummary;
 pub use shard::{ShardError, ShardPlan, ShardReport, ShardStats, StreamOptions};
 pub use transport::{
-    KillAfter, LoopbackTransport, ShardTransport, StallAfter, SubprocessTransport, TransportError,
+    Fault, FaultAfter, LoopbackTransport, ShardTransport, SubprocessTransport, TransportError,
 };
 pub use wire::WireError;
 

@@ -68,16 +68,18 @@ impl Pool {
         self.threads / n_jobs.clamp(1, self.threads)
     }
 
-    /// [`Pool::run_ordered`] with the per-job fan-out budget passed to each
-    /// job as a second argument: `job(index, inner_threads)`. The budget is
-    /// the same for every job in the batch (see [`Pool::inner_threads`]).
+    /// [`Pool::run_ordered`] with each job run under the batch's within-state
+    /// fan-out budget (`qaoa::eval::with_within_state_threads`). The budget
+    /// is the same for every job in the batch (see [`Pool::inner_threads`]).
     pub fn run_ordered_fanout<T, F>(&self, n_jobs: usize, job: F) -> Vec<T>
     where
         T: Send,
-        F: Fn(usize, usize) -> T + Sync,
+        F: Fn(usize) -> T + Sync,
     {
         let inner = self.inner_threads(n_jobs);
-        self.run_ordered(n_jobs, |i| job(i, inner))
+        self.run_ordered(n_jobs, |i| {
+            qaoa::eval::with_within_state_threads(inner, || job(i))
+        })
     }
 
     /// Runs `job(0..n_jobs)` across the pool, returning results in
@@ -255,7 +257,7 @@ mod tests {
     #[test]
     fn fanout_passes_one_budget_to_every_job() {
         let pool = Pool::new(4);
-        let budgets = pool.run_ordered_fanout(2, |i, inner| (i, inner));
+        let budgets = pool.run_ordered_fanout(2, |i| (i, qaoa::eval::within_state_threads()));
         assert_eq!(budgets, vec![(0, 2), (1, 2)]);
     }
 

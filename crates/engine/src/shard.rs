@@ -483,77 +483,36 @@ where
         }
 
         // Poll: give every busy worker one receive quantum, then drain
-        // whatever else it already queued without waiting.
+        // whatever else it already queued without waiting. Only silence
+        // through a full quantum counts toward the liveness timeout.
         #[allow(clippy::needless_range_loop)] // workers + transport borrow together
         for worker in 0..n_workers {
-            let WorkerState::Busy(shard) = workers[worker] else {
-                continue;
-            };
-            match transport.recv_line(worker, POLL_QUANTUM) {
-                Ok(line) => {
-                    last_heard[worker] = Instant::now();
-                    handle_line(
-                        &line,
-                        shard,
-                        worker,
-                        max_depth,
-                        &mut ranges,
-                        &mut frontier,
-                        &mut workers,
-                        &mut buffered_records,
-                        &mut peak_buffered,
-                        sink,
-                    )?;
-                    while let WorkerState::Busy(shard) = workers[worker] {
-                        match transport.recv_line(worker, Duration::ZERO) {
-                            Ok(line) => {
-                                last_heard[worker] = Instant::now();
-                                handle_line(
-                                    &line,
-                                    shard,
-                                    worker,
-                                    max_depth,
-                                    &mut ranges,
-                                    &mut frontier,
-                                    &mut workers,
-                                    &mut buffered_records,
-                                    &mut peak_buffered,
-                                    sink,
-                                )?;
-                            }
-                            Err(TransportError::Timeout) => break,
-                            Err(TransportError::Dead(_)) => {
-                                lose_worker(
-                                    transport,
-                                    worker,
-                                    &mut workers,
-                                    &mut ranges,
-                                    &mut pending,
-                                    &mut buffered_records,
-                                    &mut retasked,
-                                    &mut lost_workers,
-                                );
-                                break;
-                            }
-                        }
-                    }
-                }
-                Err(TransportError::Timeout) => {
-                    if last_heard[worker].elapsed() >= options.timeout {
-                        lose_worker(
-                            transport,
+            let mut wait = POLL_QUANTUM;
+            while let WorkerState::Busy(shard) = workers[worker] {
+                match transport.recv_line(worker, wait) {
+                    Ok(line) => {
+                        last_heard[worker] = Instant::now();
+                        wait = Duration::ZERO;
+                        handle_line(
+                            &line,
+                            shard,
                             worker,
-                            &mut workers,
+                            max_depth,
                             &mut ranges,
-                            &mut pending,
+                            &mut frontier,
+                            &mut workers,
                             &mut buffered_records,
-                            &mut retasked,
-                            &mut lost_workers,
-                        );
+                            &mut peak_buffered,
+                            sink,
+                        )?;
                     }
-                }
-                Err(TransportError::Dead(_)) => {
-                    lose_worker(
+                    Err(TransportError::Timeout)
+                        if wait.is_zero() || last_heard[worker].elapsed() < options.timeout =>
+                    {
+                        break;
+                    }
+                    // Dead, or silent for the whole liveness timeout.
+                    Err(_) => lose_worker(
                         transport,
                         worker,
                         &mut workers,
@@ -562,7 +521,7 @@ where
                         &mut buffered_records,
                         &mut retasked,
                         &mut lost_workers,
-                    );
+                    ),
                 }
             }
         }

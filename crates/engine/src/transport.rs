@@ -2,32 +2,35 @@
 //!
 //! [`crate::shard::run_streaming`] drives workers through the
 //! [`ShardTransport`] trait: a full-duplex, line-oriented channel per
-//! worker with incremental receive and worker-death detection. Three
-//! implementations ship here:
+//! worker with incremental receive and worker-death detection. Both
+//! shipped transports are the same worker pipe — an OS pipe into the
+//! worker, an OS pipe out of it, and a reader thread that turns the
+//! worker's output into complete lines — and differ only in what runs the
+//! worker:
 //!
 //! * [`LoopbackTransport`] — the reference implementation: one in-process
-//!   thread per worker running [`crate::server::serve`] over in-memory
-//!   channel pipes. Behaviorally identical to a subprocess (lines arrive
-//!   incrementally, a killed worker hangs up mid-stream) without process
-//!   overhead; what tests and single-machine wire rehearsals use.
+//!   thread per worker running [`crate::server::serve`] over its pipes,
+//!   wired exactly like a `qaoa-serve` process's stdin/stdout, without
+//!   process overhead; what tests and single-machine wire rehearsals use.
 //! * [`SubprocessTransport`] — the production transport: spawns real
 //!   worker processes (normally `qaoa-serve`) and speaks `QW1` over their
-//!   stdin/stdout. Worker exit, a closed pipe, or a kill all surface as
-//!   [`TransportError::Dead`], which the coordinator answers by re-tasking
-//!   the worker's range on a survivor.
-//! * [`KillAfter`] / [`StallAfter`] — fault injectors wrapping any inner
-//!   transport: deterministic worker death and silent stalls, used by the
-//!   failover test-suite and `qaoa-shard --kill-worker`.
+//!   stdin/stdout.
+//!
+//! Worker exit, a closed pipe, a kill, or a line the worker died before
+//! finishing all surface as [`TransportError::Dead`], which the
+//! coordinator answers by re-tasking the worker's range on a survivor.
+//! [`FaultAfter`] wraps any inner transport to inject deterministic worker
+//! death or silent stalls, used by the failover test-suite and
+//! `qaoa-shard --kill-worker`.
 //!
 //! The trait is deliberately clock-free: `recv_line` takes a wait budget
 //! as a [`Duration`] and reports [`TransportError::Timeout`] when nothing
 //! arrived, but only the coordinator (an allowed wall-clock module)
 //! decides when accumulated silence becomes worker death.
 
-use std::collections::VecDeque;
 use std::fmt;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::process::{Child, ChildStdin, Command, Stdio};
+use std::io::{BufRead, BufReader, LineWriter, PipeReader, PipeWriter, Write};
+use std::process::{Child, Command};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -97,26 +100,203 @@ pub trait ShardTransport {
     fn close(&mut self, worker: usize);
 }
 
-// --- loopback --------------------------------------------------------------
+// --- the worker pipe -------------------------------------------------------
 
-/// Byte chunks from a worker, reassembled into lines on the receive side.
-type ChunkReceiver = mpsc::Receiver<Vec<u8>>;
-
-struct LoopbackWorker {
-    /// `None` once end-of-input was signalled (close) or the slot killed.
-    input: Option<mpsc::Sender<String>>,
-    output: Option<ChunkReceiver>,
-    /// Complete lines already assembled but not yet handed out.
-    pending: VecDeque<String>,
-    /// Bytes of a line still missing its terminator.
-    partial: Vec<u8>,
-    handle: Option<JoinHandle<()>>,
-    /// Why the slot is unusable, once it is.
-    fate: Option<String>,
+/// What runs a worker.
+enum Runner {
+    /// A spawned worker process.
+    Process(Child),
+    /// An in-process [`crate::server::serve`] thread.
+    Thread(JoinHandle<()>),
 }
 
+/// A live worker: the write end of its input, the complete lines of its
+/// output, and what runs it.
+struct Worker {
+    input: PipeWriter,
+    lines: mpsc::Receiver<String>,
+    /// The thread feeding `lines`; it decouples pipe draining from the
+    /// coordinator's poll loop, so a worker never blocks on a full pipe
+    /// while the coordinator is busy elsewhere.
+    reader: JoinHandle<()>,
+    runner: Runner,
+}
+
+impl Worker {
+    /// Makes the worker's two pipes, hands their worker ends to `start`,
+    /// and reads the worker's output on a thread.
+    fn start(
+        start: impl FnOnce(PipeReader, PipeWriter) -> std::io::Result<Runner>,
+    ) -> std::io::Result<Self> {
+        let (worker_input, input) = std::io::pipe()?;
+        let (output, worker_output) = std::io::pipe()?;
+        let runner = start(worker_input, worker_output)?;
+        let (tx, lines) = mpsc::channel();
+        let reader = std::thread::spawn(move || forward_lines(output, &tx));
+        Ok(Self {
+            input,
+            lines,
+            reader,
+            runner,
+        })
+    }
+
+    /// Ends the worker. Both ways start by closing its input. A graceful
+    /// end then waits for the worker to finish (a thread's cache fold, a
+    /// process's cache-file write) and for its last lines. A forced end
+    /// kills and reaps a process; a thread may be mid-solve, so it and its
+    /// reader are detached rather than joined, and it winds down on its
+    /// own at its next read (end of input) or write (broken pipe).
+    fn end(self, graceful: bool) {
+        drop(self.input);
+        match self.runner {
+            Runner::Process(mut child) => {
+                if !graceful {
+                    let _ = child.kill();
+                }
+                let _ = child.wait(); // reap; no zombies
+            }
+            Runner::Thread(handle) if graceful => {
+                let _ = handle.join();
+            }
+            Runner::Thread(_) => return,
+        }
+        let _ = self.reader.join(); // the worker's end of the pipe is closed
+    }
+}
+
+/// One worker at the other end of a line pipe.
+struct Slot {
+    /// `None` once the worker is gone for good.
+    worker: Option<Worker>,
+    /// Why the worker is gone, once it is: what every later operation
+    /// reports.
+    fate: String,
+}
+
+impl Slot {
+    fn live(worker: Worker) -> Self {
+        Self {
+            worker: Some(worker),
+            fate: String::new(),
+        }
+    }
+
+    fn dead(fate: String) -> Self {
+        Self { worker: None, fate }
+    }
+
+    fn worker(&mut self) -> Result<&mut Worker, TransportError> {
+        self.worker
+            .as_mut()
+            .ok_or_else(|| TransportError::Dead(self.fate.clone()))
+    }
+
+    fn send_line(&mut self, line: &str) -> Result<(), TransportError> {
+        let worker = self.worker()?;
+        writeln!(worker.input, "{line}")
+            .map_err(|e| self.end(format!("write to worker failed: {e}"), false))
+    }
+
+    fn recv_line(&mut self, wait: Duration) -> Result<String, TransportError> {
+        match self.worker()?.lines.recv_timeout(wait) {
+            Ok(line) => Ok(line),
+            Err(mpsc::RecvTimeoutError::Timeout) => Err(TransportError::Timeout),
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                Err(self.end("worker hung up (end of stream)".into(), false))
+            }
+        }
+    }
+
+    /// Ends a live worker with `fate` (see [`Worker::end`]) and returns
+    /// the error every later operation reports; a slot already gone keeps
+    /// its first fate.
+    fn end(&mut self, fate: String, graceful: bool) -> TransportError {
+        if let Some(worker) = self.worker.take() {
+            self.fate = fate;
+            worker.end(graceful);
+        }
+        TransportError::Dead(self.fate.clone())
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.end("transport dropped".into(), false);
+    }
+}
+
+/// The reader thread: forwards each newline-terminated line of the
+/// worker's output. End of stream, a read error, or a line that is not
+/// UTF-8 ends the stream — and an unterminated tail at end of stream is
+/// what a dying worker leaves behind, so it is dropped with the worker
+/// rather than handed on as a line.
+fn forward_lines(output: PipeReader, lines: &mpsc::Sender<String>) {
+    let mut output = BufReader::new(output);
+    loop {
+        let mut bytes = Vec::new();
+        match output.read_until(b'\n', &mut bytes) {
+            Ok(_) if bytes.last() == Some(&b'\n') => {}
+            _ => return,
+        }
+        bytes.pop();
+        if bytes.last() == Some(&b'\r') {
+            bytes.pop();
+        }
+        let Ok(line) = String::from_utf8(bytes) else {
+            return;
+        };
+        if lines.send(line).is_err() {
+            return;
+        }
+    }
+}
+
+/// The transports built on [`Slot`]s; they share one [`ShardTransport`]
+/// implementation.
+trait Slots {
+    fn slots(&self) -> &[Slot];
+    fn slots_mut(&mut self) -> &mut [Slot];
+}
+
+fn slot<T: Slots>(transport: &mut T, worker: usize) -> Result<&mut Slot, TransportError> {
+    let slots = transport.slots_mut();
+    let count = slots.len();
+    slots
+        .get_mut(worker)
+        .ok_or_else(|| TransportError::Dead(format!("worker {worker} of {count} (no such slot)")))
+}
+
+impl<T: Slots> ShardTransport for T {
+    fn workers(&self) -> usize {
+        self.slots().len()
+    }
+
+    fn send_line(&mut self, worker: usize, line: &str) -> Result<(), TransportError> {
+        slot(self, worker)?.send_line(line)
+    }
+
+    fn recv_line(&mut self, worker: usize, wait: Duration) -> Result<String, TransportError> {
+        slot(self, worker)?.recv_line(wait)
+    }
+
+    fn kill(&mut self, worker: usize) {
+        if let Ok(slot) = slot(self, worker) {
+            slot.end("killed".into(), false);
+        }
+    }
+
+    fn close(&mut self, worker: usize) {
+        if let Ok(slot) = slot(self, worker) {
+            slot.end("closed".into(), true);
+        }
+    }
+}
+
+// --- loopback --------------------------------------------------------------
+
 /// The reference [`ShardTransport`]: one in-process [`crate::server::serve`]
-/// worker thread per slot, wired over in-memory channel pipes.
+/// worker thread per slot, reading and writing OS pipes.
 ///
 /// Each worker owns a fresh [`Engine`] with `threads` pool workers, exactly
 /// like one spawned `qaoa-serve` process. With [`LoopbackTransport::with_cache`]
@@ -124,7 +304,17 @@ struct LoopbackWorker {
 /// depth-1 cache, mirroring what per-worker `--cache-file`s plus a merge
 /// give the subprocess transport.
 pub struct LoopbackTransport {
-    slots: Vec<LoopbackWorker>,
+    slots: Vec<Slot>,
+}
+
+impl Slots for LoopbackTransport {
+    fn slots(&self) -> &[Slot] {
+        &self.slots
+    }
+
+    fn slots_mut(&mut self) -> &mut [Slot] {
+        &mut self.slots
+    }
 }
 
 impl LoopbackTransport {
@@ -150,44 +340,30 @@ impl LoopbackTransport {
     ) -> Self {
         let slots = (0..workers.max(1))
             .map(|_| {
-                let (input_tx, input_rx) = mpsc::channel::<String>();
-                let (output_tx, output_rx) = mpsc::channel::<Vec<u8>>();
                 let shared = cache.clone();
-                let handle = std::thread::spawn(move || {
-                    loopback_worker(threads, master_seed, shared, input_rx, output_tx);
-                });
-                LoopbackWorker {
-                    input: Some(input_tx),
-                    output: Some(output_rx),
-                    pending: VecDeque::new(),
-                    partial: Vec::new(),
-                    handle: Some(handle),
-                    fate: None,
-                }
+                Worker::start(|input, output| {
+                    std::thread::Builder::new()
+                        .spawn(move || loopback_worker(threads, master_seed, shared, input, output))
+                        .map(Runner::Thread)
+                })
+                .map_or_else(|e| Slot::dead(format!("starting worker: {e}")), Slot::live)
             })
             .collect();
         Self { slots }
     }
-
-    fn slot(&mut self, worker: usize) -> Result<&mut LoopbackWorker, TransportError> {
-        let count = self.slots.len();
-        self.slots.get_mut(worker).ok_or_else(|| {
-            TransportError::Dead(format!("worker {worker} of {count} (no such slot)"))
-        })
-    }
 }
 
-/// One worker thread: a fresh engine serving the channel-piped request
-/// stream until end-of-input, then a fold into the shared cache. The fold
-/// also runs when serve aborts early (coordinator hung up): depth-1 entries
-/// are pure functions of their key, so folding a partial set is always
-/// sound.
+/// One worker thread: a fresh engine serving its input pipe until end of
+/// input, wired the way `qaoa-serve` wires stdin and stdout, then a fold
+/// into the shared cache. The fold also runs when serve aborts early
+/// (coordinator hung up): depth-1 entries are pure functions of their
+/// key, so folding a partial set is always sound.
 fn loopback_worker(
     threads: usize,
     master_seed: u64,
     shared: Option<Arc<Level1Cache>>,
-    input: mpsc::Receiver<String>,
-    output: mpsc::Sender<Vec<u8>>,
+    input: PipeReader,
+    output: PipeWriter,
 ) {
     let engine = Engine::new(threads);
     if let Some(cache) = &shared {
@@ -197,15 +373,9 @@ fn loopback_worker(
         master_seed,
         ..BatchConfig::default()
     };
-    let reader = ChannelReader {
-        rx: input,
-        buf: Vec::new(),
-        pos: 0,
-    };
-    let writer = ChannelWriter { tx: output };
     let _ = crate::server::serve(
-        reader,
-        writer,
+        BufReader::new(input),
+        LineWriter::new(output),
         &engine,
         &optimize::Lbfgsb::default(),
         &config,
@@ -215,188 +385,7 @@ fn loopback_worker(
     }
 }
 
-/// Worker-side stdin stand-in: lines from an mpsc channel, exposed as
-/// `BufRead`. A hung-up sender reads as end-of-file.
-struct ChannelReader {
-    rx: mpsc::Receiver<String>,
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-impl Read for ChannelReader {
-    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-        let available = self.fill_buf()?;
-        let n = available.len().min(out.len());
-        out[..n].copy_from_slice(&available[..n]);
-        self.consume(n);
-        Ok(n)
-    }
-}
-
-impl BufRead for ChannelReader {
-    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
-        if self.pos >= self.buf.len() {
-            match self.rx.recv() {
-                Ok(line) => {
-                    self.buf = line.into_bytes();
-                    self.buf.push(b'\n');
-                    self.pos = 0;
-                }
-                // Coordinator dropped the sender: end of input.
-                Err(mpsc::RecvError) => {
-                    self.buf.clear();
-                    self.pos = 0;
-                }
-            }
-        }
-        Ok(&self.buf[self.pos..])
-    }
-
-    fn consume(&mut self, amt: usize) {
-        self.pos = (self.pos + amt).min(self.buf.len());
-    }
-}
-
-/// Worker-side stdout stand-in: every write ships its bytes to the
-/// coordinator immediately (the pipe itself never buffers, so worker
-/// flush discipline only matters for real pipes).
-struct ChannelWriter {
-    tx: mpsc::Sender<Vec<u8>>,
-}
-
-impl Write for ChannelWriter {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.tx.send(buf.to_vec()).map_err(|_| {
-            std::io::Error::new(std::io::ErrorKind::BrokenPipe, "coordinator hung up")
-        })?;
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-impl ShardTransport for LoopbackTransport {
-    fn workers(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn send_line(&mut self, worker: usize, line: &str) -> Result<(), TransportError> {
-        let slot = self.slot(worker)?;
-        if let Some(fate) = &slot.fate {
-            return Err(TransportError::Dead(fate.clone()));
-        }
-        let Some(input) = &slot.input else {
-            return Err(TransportError::Dead("input already closed".into()));
-        };
-        if input.send(line.to_string()).is_err() {
-            let fate = "worker thread hung up".to_string();
-            slot.fate = Some(fate.clone());
-            return Err(TransportError::Dead(fate));
-        }
-        Ok(())
-    }
-
-    fn recv_line(&mut self, worker: usize, wait: Duration) -> Result<String, TransportError> {
-        let slot = self.slot(worker)?;
-        loop {
-            if let Some(line) = slot.pending.pop_front() {
-                return Ok(line);
-            }
-            if let Some(fate) = &slot.fate {
-                return Err(TransportError::Dead(fate.clone()));
-            }
-            let Some(output) = &slot.output else {
-                return Err(TransportError::Dead("output already closed".into()));
-            };
-            match output.recv_timeout(wait) {
-                Ok(chunk) => {
-                    for byte in chunk {
-                        if byte == b'\n' {
-                            let line = String::from_utf8_lossy(&slot.partial).into_owned();
-                            slot.partial.clear();
-                            slot.pending.push_back(line);
-                        } else {
-                            slot.partial.push(byte);
-                        }
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => return Err(TransportError::Timeout),
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    // A trailing partial line from a dead worker is not a
-                    // line; it is discarded with the worker.
-                    let fate = "worker hung up (end of stream)".to_string();
-                    slot.fate = Some(fate.clone());
-                    return Err(TransportError::Dead(fate));
-                }
-            }
-        }
-    }
-
-    fn kill(&mut self, worker: usize) {
-        if let Some(slot) = self.slots.get_mut(worker) {
-            // Dropping both channel ends makes the worker's next read see
-            // EOF and its next write fail, so the thread winds down on its
-            // own; it is detached rather than joined because it may be
-            // mid-solve and a kill must not block the coordinator.
-            slot.input = None;
-            slot.output = None;
-            slot.handle = None;
-            slot.pending.clear();
-            slot.partial.clear();
-            slot.fate.get_or_insert_with(|| "killed".to_string());
-        }
-    }
-
-    fn close(&mut self, worker: usize) {
-        if let Some(slot) = self.slots.get_mut(worker) {
-            if slot.fate.is_some() {
-                return;
-            }
-            slot.input = None; // end-of-input
-            if let Some(handle) = slot.handle.take() {
-                let _ = handle.join(); // cache fold completes before this returns
-            }
-            slot.output = None;
-            slot.fate = Some("closed".to_string());
-        }
-    }
-}
-
-impl Drop for LoopbackTransport {
-    fn drop(&mut self) {
-        for worker in 0..self.slots.len() {
-            self.kill(worker);
-        }
-    }
-}
-
 // --- subprocess ------------------------------------------------------------
-
-struct SubprocessWorker {
-    child: Option<Child>,
-    stdin: Option<ChildStdin>,
-    lines: Option<mpsc::Receiver<String>>,
-    reader: Option<JoinHandle<()>>,
-    fate: Option<String>,
-}
-
-impl SubprocessWorker {
-    /// Kills and reaps the child, hangs up the pipes. Idempotent.
-    fn tear_down(&mut self, fate: &str) {
-        self.stdin = None;
-        self.lines = None;
-        if let Some(mut child) = self.child.take() {
-            let _ = child.kill();
-            let _ = child.wait(); // reap; no zombies
-        }
-        if let Some(reader) = self.reader.take() {
-            let _ = reader.join(); // EOF after kill, returns promptly
-        }
-        self.fate.get_or_insert_with(|| fate.to_string());
-    }
-}
 
 /// The production [`ShardTransport`]: spawned worker processes speaking
 /// `QW1` over stdin/stdout (normally `qaoa-serve`; stderr passes through).
@@ -407,7 +396,17 @@ impl SubprocessWorker {
 /// closes the worker's stdin and waits for a clean exit, giving workers
 /// started with `--cache-file` the chance to persist what they solved.
 pub struct SubprocessTransport {
-    slots: Vec<SubprocessWorker>,
+    slots: Vec<Slot>,
+}
+
+impl Slots for SubprocessTransport {
+    fn slots(&self) -> &[Slot] {
+        &self.slots
+    }
+
+    fn slots_mut(&mut self) -> &mut [Slot] {
+        &mut self.slots
+    }
 }
 
 impl SubprocessTransport {
@@ -440,171 +439,73 @@ impl SubprocessTransport {
         if commands.is_empty() {
             return Err(TransportError::Dead("no worker commands".into()));
         }
-        let mut slots: Vec<SubprocessWorker> = Vec::with_capacity(commands.len());
+        let mut slots = Vec::with_capacity(commands.len());
         for (index, command) in commands.iter().enumerate() {
-            let spawned = match command.split_first() {
-                Some((program, args)) => spawn_worker(program, args),
-                None => Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    "empty worker command",
-                )),
+            let Some((program, args)) = command.split_first() else {
+                return Err(TransportError::Dead(format!(
+                    "spawning worker {index}: empty worker command"
+                )));
             };
-            match spawned {
-                Ok(slot) => slots.push(slot),
-                Err(e) => {
-                    for slot in &mut slots {
-                        slot.tear_down("sibling spawn failed");
-                    }
-                    let program = command.first().map_or("<empty>", String::as_str);
-                    return Err(TransportError::Dead(format!(
-                        "spawning worker {index} ({program}): {e}"
-                    )));
-                }
-            }
+            // An early return drops `slots`, which kills and reaps the
+            // workers spawned so far.
+            let worker = Worker::start(|stdin, stdout| {
+                Command::new(program)
+                    .args(args)
+                    .stdin(stdin)
+                    .stdout(stdout)
+                    .spawn()
+                    .map(Runner::Process)
+            })
+            .map_err(|e| {
+                TransportError::Dead(format!("spawning worker {index} ({program}): {e}"))
+            })?;
+            slots.push(Slot::live(worker));
         }
         Ok(Self { slots })
-    }
-
-    fn slot(&mut self, worker: usize) -> Result<&mut SubprocessWorker, TransportError> {
-        let count = self.slots.len();
-        self.slots.get_mut(worker).ok_or_else(|| {
-            TransportError::Dead(format!("worker {worker} of {count} (no such slot)"))
-        })
-    }
-}
-
-fn spawn_worker(program: &str, args: &[String]) -> std::io::Result<SubprocessWorker> {
-    let mut child = Command::new(program)
-        .args(args)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .spawn()?;
-    let stdin = child.stdin.take();
-    let stdout = child.stdout.take().ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::BrokenPipe, "child stdout not captured")
-    })?;
-    let (tx, rx) = mpsc::channel::<String>();
-    // One reader thread per child decouples pipe draining from the
-    // coordinator's poll loop: the child never blocks on a full pipe while
-    // the coordinator is busy elsewhere.
-    let reader = std::thread::spawn(move || {
-        for line in BufReader::new(stdout).lines() {
-            let Ok(line) = line else { break };
-            if tx.send(line).is_err() {
-                break;
-            }
-        }
-    });
-    Ok(SubprocessWorker {
-        child: Some(child),
-        stdin,
-        lines: Some(rx),
-        reader: Some(reader),
-        fate: None,
-    })
-}
-
-impl ShardTransport for SubprocessTransport {
-    fn workers(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn send_line(&mut self, worker: usize, line: &str) -> Result<(), TransportError> {
-        let slot = self.slot(worker)?;
-        if let Some(fate) = &slot.fate {
-            return Err(TransportError::Dead(fate.clone()));
-        }
-        let Some(stdin) = &mut slot.stdin else {
-            return Err(TransportError::Dead("stdin already closed".into()));
-        };
-        let wrote = writeln!(stdin, "{line}").and_then(|()| stdin.flush());
-        if let Err(e) = wrote {
-            let fate = format!("write to worker failed: {e}");
-            slot.tear_down(&fate);
-            return Err(TransportError::Dead(fate));
-        }
-        Ok(())
-    }
-
-    fn recv_line(&mut self, worker: usize, wait: Duration) -> Result<String, TransportError> {
-        let slot = self.slot(worker)?;
-        if let Some(fate) = &slot.fate {
-            return Err(TransportError::Dead(fate.clone()));
-        }
-        let Some(lines) = &slot.lines else {
-            return Err(TransportError::Dead("stdout already closed".into()));
-        };
-        match lines.recv_timeout(wait) {
-            Ok(line) => Ok(line),
-            Err(mpsc::RecvTimeoutError::Timeout) => Err(TransportError::Timeout),
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                let fate = "worker stdout closed".to_string();
-                slot.tear_down(&fate);
-                Err(TransportError::Dead(fate))
-            }
-        }
-    }
-
-    fn kill(&mut self, worker: usize) {
-        if let Some(slot) = self.slots.get_mut(worker) {
-            slot.tear_down("killed");
-        }
-    }
-
-    fn close(&mut self, worker: usize) {
-        if let Some(slot) = self.slots.get_mut(worker) {
-            if slot.fate.is_some() {
-                return;
-            }
-            slot.stdin = None; // EOF: the worker finishes up and exits
-            if let Some(mut child) = slot.child.take() {
-                let _ = child.wait();
-            }
-            if let Some(reader) = slot.reader.take() {
-                let _ = reader.join();
-            }
-            slot.lines = None;
-            slot.fate = Some("closed".to_string());
-        }
-    }
-}
-
-impl Drop for SubprocessTransport {
-    fn drop(&mut self) {
-        for slot in &mut self.slots {
-            slot.tear_down("transport dropped");
-        }
     }
 }
 
 // --- fault injection -------------------------------------------------------
 
-/// Fault injector: lets `victim` deliver `after` lines, then kills it.
-///
-/// The kill is real — the inner worker is torn down — so everything
-/// downstream (re-tasking, cache-file merging) sees an honest mid-range
-/// death, not a simulation. Used by the failover tests and
-/// `qaoa-shard --kill-worker`.
-pub struct KillAfter<T: ShardTransport> {
+/// The fault [`FaultAfter`] injects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// Kill the worker. The kill is real — the inner worker is torn down —
+    /// so everything downstream (re-tasking, cache-file merging) sees an
+    /// honest mid-range death, not a simulation.
+    Kill,
+    /// Go silent: every later receive waits out its budget and reports
+    /// [`TransportError::Timeout`], so the coordinator's liveness timeout
+    /// is what declares the worker dead. Exercises the timeout → kill →
+    /// re-task path end to end.
+    Stall,
+}
+
+/// Fault injector: lets `victim` deliver `after` lines, then injects a
+/// [`Fault`] on every later receive from it. Used by the failover tests
+/// and `qaoa-shard --kill-worker`.
+pub struct FaultAfter<T: ShardTransport> {
     inner: T,
     victim: usize,
     after: usize,
+    fault: Fault,
     seen: usize,
 }
 
-impl<T: ShardTransport> KillAfter<T> {
-    /// Kills `victim` once it has delivered `after` lines.
-    pub fn new(inner: T, victim: usize, after: usize) -> Self {
+impl<T: ShardTransport> FaultAfter<T> {
+    /// Injects `fault` into `victim` once it has delivered `after` lines.
+    pub fn new(inner: T, victim: usize, after: usize, fault: Fault) -> Self {
         Self {
             inner,
             victim,
             after,
+            fault,
             seen: 0,
         }
     }
 }
 
-impl<T: ShardTransport> ShardTransport for KillAfter<T> {
+impl<T: ShardTransport> ShardTransport for FaultAfter<T> {
     fn workers(&self) -> usize {
         self.inner.workers()
     }
@@ -614,73 +515,27 @@ impl<T: ShardTransport> ShardTransport for KillAfter<T> {
     }
 
     fn recv_line(&mut self, worker: usize, wait: Duration) -> Result<String, TransportError> {
-        if worker == self.victim {
-            if self.seen >= self.after {
-                self.inner.kill(worker);
-                return Err(TransportError::Dead(format!(
-                    "fault injection: worker {worker} killed after {} lines",
-                    self.seen
-                )));
-            }
-            let line = self.inner.recv_line(worker, wait)?;
-            self.seen += 1;
-            return Ok(line);
+        if worker != self.victim {
+            return self.inner.recv_line(worker, wait);
         }
-        self.inner.recv_line(worker, wait)
-    }
-
-    fn kill(&mut self, worker: usize) {
-        self.inner.kill(worker);
-    }
-
-    fn close(&mut self, worker: usize) {
-        self.inner.close(worker);
-    }
-}
-
-/// Fault injector: lets `victim` deliver `after` lines, then goes silent —
-/// every later receive waits out its budget and reports
-/// [`TransportError::Timeout`], so the coordinator's liveness timeout is
-/// what declares the worker dead. Exercises the timeout → kill → re-task
-/// path end to end.
-pub struct StallAfter<T: ShardTransport> {
-    inner: T,
-    victim: usize,
-    after: usize,
-    seen: usize,
-}
-
-impl<T: ShardTransport> StallAfter<T> {
-    /// Stalls `victim` once it has delivered `after` lines.
-    pub fn new(inner: T, victim: usize, after: usize) -> Self {
-        Self {
-            inner,
-            victim,
-            after,
-            seen: 0,
-        }
-    }
-}
-
-impl<T: ShardTransport> ShardTransport for StallAfter<T> {
-    fn workers(&self) -> usize {
-        self.inner.workers()
-    }
-
-    fn send_line(&mut self, worker: usize, line: &str) -> Result<(), TransportError> {
-        self.inner.send_line(worker, line)
-    }
-
-    fn recv_line(&mut self, worker: usize, wait: Duration) -> Result<String, TransportError> {
-        if worker == self.victim && self.seen >= self.after {
-            // Emulate silence honestly: consume the wait, deliver nothing.
-            std::thread::sleep(wait);
-            return Err(TransportError::Timeout);
+        if self.seen >= self.after {
+            return Err(match self.fault {
+                Fault::Kill => {
+                    self.inner.kill(worker);
+                    TransportError::Dead(format!(
+                        "fault injection: worker {worker} killed after {} lines",
+                        self.seen
+                    ))
+                }
+                Fault::Stall => {
+                    // Emulate silence honestly: consume the wait, deliver nothing.
+                    std::thread::sleep(wait);
+                    TransportError::Timeout
+                }
+            });
         }
         let line = self.inner.recv_line(worker, wait)?;
-        if worker == self.victim {
-            self.seen += 1;
-        }
+        self.seen += 1;
         Ok(line)
     }
 
@@ -744,6 +599,30 @@ mod tests {
     }
 
     #[test]
+    fn unterminated_tail_at_end_of_stream_is_worker_death() {
+        // A worker that dies mid-line: the complete line passes, the
+        // half-written one does not — the slot reports Dead instead.
+        let mut slot = Slot::live(
+            Worker::start(|_input, mut output| {
+                std::thread::Builder::new()
+                    .spawn(move || {
+                        let _ = output.write_all(b"QW1 ERR x\nQW1 REC");
+                    })
+                    .map(Runner::Thread)
+            })
+            .unwrap(),
+        );
+        assert_eq!(
+            slot.recv_line(Duration::from_secs(30)),
+            Ok("QW1 ERR x".to_string())
+        );
+        assert!(matches!(
+            slot.recv_line(Duration::from_secs(30)),
+            Err(TransportError::Dead(_))
+        ));
+    }
+
+    #[test]
     fn empty_subprocess_command_is_rejected() {
         assert!(matches!(
             SubprocessTransport::spawn(&[], 2),
@@ -761,9 +640,9 @@ mod tests {
     }
 
     #[test]
-    fn kill_after_injects_death_and_stall_after_injects_timeouts() {
+    fn fault_after_injects_death_and_timeouts() {
         let inner = LoopbackTransport::new(1, 1);
-        let mut faulty = KillAfter::new(inner, 0, 1);
+        let mut faulty = FaultAfter::new(inner, 0, 1, Fault::Kill);
         faulty.send_line(0, "bogus").unwrap();
         faulty.send_line(0, "bogus again").unwrap();
         // First line (an ERR) passes; the second receive kills the worker.
@@ -775,7 +654,7 @@ mod tests {
         ));
 
         let inner = LoopbackTransport::new(1, 1);
-        let mut stalled = StallAfter::new(inner, 0, 0);
+        let mut stalled = FaultAfter::new(inner, 0, 0, Fault::Stall);
         stalled.send_line(0, "bogus").unwrap();
         assert_eq!(
             stalled.recv_line(0, Duration::from_millis(5)),

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use engine::shard::{self, ShardPlan, StreamOptions};
-use engine::{persist, Engine, KillAfter, Level1Cache, LoopbackTransport, StallAfter};
+use engine::{persist, Engine, Fault, FaultAfter, Level1Cache, LoopbackTransport};
 use proptest::prelude::*;
 use qaoa::datagen::DataGenConfig;
 
@@ -60,7 +60,7 @@ proptest! {
         let config = spec(n);
         let plan = plan_from_cuts(n, cuts);
         let unsharded = reference(&config);
-        let mut transport = KillAfter::new(LoopbackTransport::new(2, 2), victim, after);
+        let mut transport = FaultAfter::new(LoopbackTransport::new(2, 2), victim, after, Fault::Kill);
         let (merged, report) = shard::run_wire(&config, &plan, &mut transport, &StreamOptions::default())
             .expect("failover run must complete on the survivor");
         prop_assert!(report.lost_workers <= 1);
@@ -79,7 +79,7 @@ fn killed_worker_report_shows_the_retask() {
     let config = spec(5);
     let plan = ShardPlan::split_even(config.n_graphs, 3);
     let unsharded = reference(&config);
-    let mut transport = KillAfter::new(LoopbackTransport::new(2, 2), 0, 1);
+    let mut transport = FaultAfter::new(LoopbackTransport::new(2, 2), 0, 1, Fault::Kill);
     let (merged, report) =
         shard::run_wire(&config, &plan, &mut transport, &StreamOptions::default())
             .expect("failover run");
@@ -102,7 +102,7 @@ fn stalled_worker_times_out_and_is_retasked() {
     let config = spec(4);
     let plan = ShardPlan::split_even(config.n_graphs, 2);
     let unsharded = reference(&config);
-    let mut transport = StallAfter::new(LoopbackTransport::new(2, 2), 1, 1);
+    let mut transport = FaultAfter::new(LoopbackTransport::new(2, 2), 1, 1, Fault::Stall);
     let options = StreamOptions {
         timeout: Duration::from_millis(300),
         ..StreamOptions::default()
@@ -132,7 +132,7 @@ fn cache_file_survives_a_kill_byte_identically() {
     let shared = Arc::new(Level1Cache::new());
     let plan = ShardPlan::split_even(config.n_graphs, 3);
     let inner = LoopbackTransport::with_cache(2, 2, config.seed, Some(Arc::clone(&shared)));
-    let mut transport = KillAfter::new(inner, 0, 2);
+    let mut transport = FaultAfter::new(inner, 0, 2, Fault::Kill);
     let (_, report) = shard::run_wire(&config, &plan, &mut transport, &StreamOptions::default())
         .expect("failover run");
     assert_eq!(report.lost_workers, 1);
@@ -197,8 +197,8 @@ fn losing_every_worker_is_an_error_not_a_hang() {
     let config = spec(3);
     let plan = ShardPlan::split_even(config.n_graphs, 2);
     // Both workers are victims: kill each on its first receive.
-    let inner = KillAfter::new(LoopbackTransport::new(2, 1), 0, 0);
-    let mut transport = KillAfter::new(inner, 1, 0);
+    let inner = FaultAfter::new(LoopbackTransport::new(2, 1), 0, 0, Fault::Kill);
+    let mut transport = FaultAfter::new(inner, 1, 0, Fault::Kill);
     match shard::run_wire(&config, &plan, &mut transport, &StreamOptions::default()) {
         Err(engine::ShardError::Transport(message)) => {
             assert!(message.contains("all 2 workers lost"), "got: {message}");
